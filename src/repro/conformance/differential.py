@@ -7,7 +7,9 @@ correctness, predicted target) and — because both sides expose their
 buffer in canonical replacement order — the complete predictor state.
 The first mismatch comes back as a :class:`Divergence` carrying the
 record index and both sides' view; :func:`shrink_trace` then
-delta-debugs the failing trace down to a minimal reproducer.
+delta-debugs the failing trace down to a minimal reproducer (with
+:func:`ddmin`, which shrinks any list — the VM battery uses it on
+programs).
 """
 
 import random
@@ -210,21 +212,33 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
     records = [tuple(record) for record in trace.records()]
     if not still_fails(subtrace(records)):
         raise ValueError("shrink_trace needs a failing trace to start from")
+    return subtrace(ddmin(records, lambda kept: still_fails(subtrace(kept)),
+                          seed=seed, max_tests=max_tests))
+
+
+def ddmin(items, still_fails, seed=0, max_tests=2000):
+    """Delta-debug the list ``items`` to a 1-minimal failing sublist.
+
+    ``still_fails`` is a predicate over non-empty sublists (order
+    kept); ``items`` itself is assumed to fail.  Chunks are tried in an
+    order shuffled by ``seed``; ``max_tests`` bounds predicate calls.
+    """
+    items = list(items)
     rng = random.Random(seed)
     tests = 0
     granularity = 2
-    while len(records) >= 2 and tests < max_tests:
-        chunk = max(1, len(records) // granularity)
-        starts = list(range(0, len(records), chunk))
+    while len(items) >= 2 and tests < max_tests:
+        chunk = max(1, len(items) // granularity)
+        starts = list(range(0, len(items), chunk))
         rng.shuffle(starts)
         reduced = False
         for start in starts:
-            candidate = records[:start] + records[start + chunk:]
+            candidate = items[:start] + items[start + chunk:]
             if not candidate:
                 continue
             tests += 1
-            if still_fails(subtrace(candidate)):
-                records = candidate
+            if still_fails(candidate):
+                items = candidate
                 granularity = max(granularity - 1, 2)
                 reduced = True
                 break
@@ -233,5 +247,5 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
         if not reduced:
             if chunk == 1:
                 break
-            granularity = min(granularity * 2, len(records))
-    return subtrace(records)
+            granularity = min(granularity * 2, len(items))
+    return items

@@ -3,7 +3,8 @@
 For each benchmark the runner performs the paper's methodology:
 
 1. compile the Minic source (the "executable intermediate form"),
-2. profile it over the input suite with basic-block probes,
+2. profile it over the input suite (block counts and branch statistics
+   derived from the branch trace of each run),
 3. recompile with trace selection + layout, setting likely bits,
 4. run the laid-out program over the same input suite, collecting the
    evaluation branch trace (the paper profiles and measures on the
@@ -29,6 +30,7 @@ failure killing the campaign.
 """
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -68,7 +70,7 @@ from repro.predictors import (
     SimpleBTB,
     simulate,
 )
-from repro.vm import BranchTrace, run_program
+from repro.vm import BranchTrace, run_program, translated
 
 # Version 3: manifests record per-artifact sha256 checksums (manifest
 # schema 2) that cache loads verify; entries are written atomically
@@ -669,13 +671,15 @@ class SuiteRunner:
         """
         if stages is None:
             stages = {}
+        stage = functools.partial(_stage, stages, benchmark=spec.name)
         suite = spec.input_suite(scale=self.scale, runs=n_runs)
         if self.profile_source == "static":
             from repro.analysis.staticpred import estimate_profile
 
-            with _stage(stages, "staticpred", spec.name):
+            with stage("staticpred"):
                 profile = estimate_profile(program)
-            with _stage(stages, "baseline", spec.name):
+            with translated(program, stage("vm_translate")), \
+                    stage("baseline"):
                 base_outputs = [
                     run_program(program, inputs=streams,
                                 max_instructions=self.max_instructions
@@ -683,16 +687,16 @@ class SuiteRunner:
                     for streams in suite
                 ]
         else:
-            with _stage(stages, "profile", spec.name):
-                profile, base_outputs = profile_program(
-                    program, suite,
-                    max_instructions=self.max_instructions)
-        with _stage(stages, "layout", spec.name):
+            profile, base_outputs = profile_program(
+                program, suite, max_instructions=self.max_instructions,
+                stage=stage)
+        with stage("layout"):
             layout = build_fs_program(program, profile,
                                       verify=self.verify)
 
         merged = None
-        with _stage(stages, "trace", spec.name):
+        with translated(layout.program, stage("vm_translate")), \
+                stage("trace"):
             for index, streams in enumerate(suite):
                 result = run_program(layout.program, inputs=streams,
                                      trace=True,

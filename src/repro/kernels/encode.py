@@ -73,19 +73,38 @@ class EncodedTrace:
     def of(cls, trace):
         """The (memoized) encoding of a :class:`BranchTrace`.
 
-        The cached encoding is keyed on the trace length: appending or
-        merging records invalidates it naturally.  In-place mutation of
-        existing records would not be noticed — nothing in the codebase
-        does that to a trace that is being simulated.
+        The cached encoding is keyed on the record count and the
+        instruction total: appending or merging runs — branch-free ones
+        included, which add instructions but no records — invalidates
+        it naturally.  In-place mutation of existing records would not
+        be noticed — nothing in the codebase does that to a trace that
+        is being simulated.
         """
-        cached = getattr(trace, "_encoded", None)
-        if cached is not None and len(cached) == len(trace):
+        cached = cls.cached(trace)
+        if cached is not None:
             return cached
         encoded = cls.from_columns(
             trace.sites, trace.classes, trace.takens, trace.targets,
             trace.gaps, trace.total_instructions)
         trace._encoded = encoded
         return encoded
+
+    @staticmethod
+    def cached(trace):
+        """The trace's memoized encoding if it is still current, else None."""
+        cached = getattr(trace, "_encoded", None)
+        if (cached is not None and len(cached) == len(trace)
+                and cached.total_instructions == trace.total_instructions):
+            return cached
+        return None
+
+    @classmethod
+    def concatenate(cls, first, second):
+        """The encoding of ``first``'s records followed by ``second``'s."""
+        return cls(*(np.concatenate((getattr(first, name),
+                                     getattr(second, name)))
+                     for name in _COLUMNS),
+                   first.total_instructions + second.total_instructions)
 
     def select(self, mask):
         """A new encoding holding only the records where ``mask``."""

@@ -8,10 +8,15 @@ memory cost of recording every executed address — and doubles as a
 strong internal consistency check on the trace itself (every record's
 site must equal the previous landing plus its gap).
 
+:func:`segment_bounds` is the vectorized form over an encoded trace;
+the profiler counts basic-block executions with it.
+
 Only single-run traces reconstruct (merged multi-run traces have
 invisible restarts); :class:`~repro.vm.machine.Machine` address traces
 remain available for anything else.
 """
+
+import numpy as np
 
 
 class TraceInconsistency(ValueError):
@@ -50,3 +55,26 @@ def fetch_addresses(trace, entry, validate=True):
     """Iterate every fetched instruction address of one run."""
     for start, length in fetch_segments(trace, entry, validate=validate):
         yield from range(start, start + length)
+
+
+def segment_bounds(encoded, entry):
+    """``(starts, stops)`` arrays of the fetch segments of one run.
+
+    The same segments as :func:`fetch_segments`, from an
+    :class:`~repro.kernels.encode.EncodedTrace` and without validation:
+    segment ``i`` is ``[site - gap, site]`` of record ``i``, and the
+    branchless tail starts where the last record landed (``entry`` when
+    there is none).  Landings assume a program without forward slots.
+    """
+    starts = encoded.sites - encoded.gaps
+    stops = encoded.sites + 1
+    tail = encoded.total_instructions - int(encoded.gaps.sum()) - len(encoded)
+    if tail > 0:
+        if len(encoded):
+            landing = int(encoded.targets[-1] if encoded.takens[-1]
+                          else encoded.sites[-1] + 1)
+        else:
+            landing = entry
+        starts = np.append(starts, landing)
+        stops = np.append(stops, landing + tail)
+    return starts, stops

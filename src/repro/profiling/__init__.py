@@ -1,11 +1,12 @@
-"""Profiling infrastructure: the paper's probe-based profiler.
+"""Profiling infrastructure: the paper's profiler.
 
 The paper's compiler inserts probes at the entry of every basic block,
 runs the program over a representative input suite, and feeds the
-accumulated counts back into recompilation.  This package does the same
-thing on the VM: block-entry counts come from machine probes placed at
-the CFG leaders, and per-branch direction/target statistics come from
-the branch trace of the profiling runs.
+accumulated counts back into recompilation.  This package computes the
+same counts from the VM's branch trace: between two branches the
+machine fetches sequentially, so each run's fetch segments say how
+often every CFG leader was reached, and the trace records give the
+per-branch direction and target statistics.
 """
 
 from repro.profiling.profiler import Profile, profile_program, profile_trace

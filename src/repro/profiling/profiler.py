@@ -1,7 +1,18 @@
-"""Block and branch profiles accumulated over one or more runs."""
+"""Block and branch profiles accumulated over one or more runs.
+
+A profile is derived entirely from the branch trace of each profiling
+run, with NumPy: block counts from the run's fetch segments, branch
+statistics from the record columns.
+"""
+
+import contextlib
+
+import numpy as np
 
 from repro.cfg import ControlFlowGraph
-from repro.vm.machine import Machine
+from repro.kernels.encode import EncodedTrace
+from repro.pipeline.fetch_stream import segment_bounds
+from repro.vm.machine import Machine, translated
 from repro.vm.tracing import BranchClass
 
 
@@ -28,27 +39,58 @@ class Profile:
 
     # -- accumulation ------------------------------------------------------
 
-    def add_run(self, probe_counts, trace):
-        """Fold one profiling run (probe counts + branch trace) in."""
-        for leader, count in probe_counts.items():
-            self.block_counts[leader] = self.block_counts.get(leader, 0) + count
-        self.add_trace(trace)
+    def add_run(self, trace, leaders, entry):
+        """Fold one profiling run in.
+
+        Args:
+            trace: the run's :class:`~repro.vm.tracing.BranchTrace` (a
+                single run: merged traces hide the restarts).
+            leaders: sorted basic-block leader addresses; each gets a
+                count, zero included.
+            entry: the program's entry address, where a branchless
+                run's only fetch segment starts.
+        """
+        encoded = EncodedTrace.of(trace)
+        leaders = np.asarray(leaders, dtype=np.int64)
+        starts, stops = segment_bounds(encoded, entry)
+        # Every leader in a segment [start, stop) ran once: +1 at the
+        # first leader at or past start, -1 at the first at or past stop.
+        size = len(leaders)
+        marks = (np.bincount(np.searchsorted(leaders, starts),
+                             minlength=size + 1)
+                 - np.bincount(np.searchsorted(leaders, stops),
+                               minlength=size + 1))
+        _accumulate(self.block_counts, leaders, np.cumsum(marks[:size]))
+        self._add_encoded(encoded)
         self.runs += 1
 
     def add_trace(self, trace):
         """Fold a branch trace's per-site statistics in."""
-        execs = self.branch_execs
-        taken_counts = self.branch_taken
-        edges = self.edge_counts
-        for site, branch_class, taken, target, _ in trace.records():
-            if branch_class == BranchClass.CONDITIONAL:
-                execs[site] = execs.get(site, 0) + 1
-                if taken:
-                    taken_counts[site] = taken_counts.get(site, 0) + 1
-                    edges[(site, target)] = edges.get((site, target), 0) + 1
-            elif branch_class != BranchClass.RETURN:
-                edges[(site, target)] = edges.get((site, target), 0) + 1
-        self.total_instructions += trace.total_instructions
+        self._add_encoded(EncodedTrace.of(trace))
+
+    def _add_encoded(self, encoded):
+        conditional = encoded.classes == BranchClass.CONDITIONAL
+        taken = conditional & encoded.takens
+        _accumulate(self.branch_execs, *np.unique(
+            encoded.sites[conditional], return_counts=True))
+        _accumulate(self.branch_taken, *np.unique(
+            encoded.sites[taken], return_counts=True))
+        # Edges: taken conditionals, jumps, calls and indirect jumps
+        # (returns are not layout edges).
+        edges = taken | (
+            (encoded.classes != BranchClass.CONDITIONAL)
+            & (encoded.classes != BranchClass.RETURN))
+        sites = encoded.sites[edges]
+        targets = encoded.targets[edges]
+        if len(sites):
+            low = int(targets.min())
+            span = int(targets.max()) - low + 1
+            keys, counts = np.unique(sites * span + (targets - low),
+                                     return_counts=True)
+            pairs = zip((keys // span).tolist(),
+                        (keys % span + low).tolist())
+            _accumulate(self.edge_counts, pairs, counts)
+        self.total_instructions += encoded.total_instructions
 
     def merge(self, other):
         """Fold another profile in (e.g. from a different input)."""
@@ -119,7 +161,7 @@ class Profile:
 
 
 def profile_program(program, input_suite, cfg=None,
-                    max_instructions=200_000_000):
+                    max_instructions=200_000_000, stage=None):
     """Profile ``program`` over ``input_suite``.
 
     Args:
@@ -127,6 +169,9 @@ def profile_program(program, input_suite, cfg=None,
         input_suite: list of runs, each a sequence of input streams.
         cfg: optional pre-built :class:`ControlFlowGraph`.
         max_instructions: per-run instruction budget.
+        stage: optional ``name -> context manager`` timing the phases:
+            ``vm_translate`` (block translation, once), ``profile`` (the
+            traced VM runs) and ``profile_fold`` (:meth:`Profile.add_run`).
 
     Returns:
         (profile, outputs) — the accumulated :class:`Profile` and the
@@ -135,17 +180,33 @@ def profile_program(program, input_suite, cfg=None,
     """
     if cfg is None:
         cfg = ControlFlowGraph.from_program(program)
+    if stage is None:
+        stage = _untimed
     leaders = cfg.leaders
+    entry = program.entry
     profile = Profile()
     outputs = []
-    for streams in input_suite:
-        machine = Machine(program, inputs=streams, trace=True,
-                          probe_addresses=leaders,
-                          max_instructions=max_instructions)
-        result = machine.run()
-        profile.add_run(result.probe_counts, result.trace)
-        outputs.append(result.output)
+    with translated(program, stage("vm_translate")):
+        for streams in input_suite:
+            with stage("profile"):
+                result = Machine(program, inputs=streams, trace=True,
+                                 max_instructions=max_instructions).run()
+            with stage("profile_fold"):
+                profile.add_run(result.trace, leaders, entry)
+            outputs.append(result.output)
     return profile, outputs
+
+
+def _untimed(name):
+    return contextlib.nullcontext()
+
+
+def _accumulate(counts, keys, values):
+    """``counts[key] += value`` for parallel key/value sequences."""
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()
+    for key, value in zip(keys, values.tolist()):
+        counts[key] = counts.get(key, 0) + value
 
 
 def profile_trace(trace):

@@ -10,7 +10,8 @@ end-to-end:
 * ``slot_mode="direct"`` — a taken likely branch transfers straight to
   its original target.  Because forward slots are faithful copies of the
   target path, this is functionally identical to executing the slots and
-  is the fast mode used for trace collection.
+  is the fast mode used for trace collection, and the one the block
+  translator (:mod:`repro.vm.blocks`) speeds up.
 * ``slot_mode="execute"`` — a taken likely branch falls through into its
   forward slots with an alternate-PC countdown, exactly as the fetch
   hardware would behave.  Used by the semantic-preservation tests.
@@ -22,7 +23,13 @@ from repro.vm.tracing import (
     BranchTrace,
     TraceStats,
 )
-from repro.vm.machine import Machine, MachineError, ExecutionLimitExceeded, run_program
+from repro.vm.machine import (
+    ExecutionLimitExceeded,
+    Machine,
+    MachineError,
+    run_program,
+    translated,
+)
 
 __all__ = [
     "BranchClass",
@@ -33,4 +40,5 @@ __all__ = [
     "MachineError",
     "ExecutionLimitExceeded",
     "run_program",
+    "translated",
 ]

@@ -1,9 +1,10 @@
 """The functional simulator.
 
-The interpreter pre-decodes the program into flat tuples with integer
-opcodes and runs a single dispatch loop; this keeps the cost per
-simulated instruction low enough to execute the multi-million
-instruction benchmark suite in seconds.
+The reference interpreter (:meth:`Machine._run`) pre-decodes the
+program into flat tuples with integer opcodes and runs a single
+dispatch loop.  ``slot_mode="direct"`` runs without an address trace
+take the fast path instead, the block translator in
+:mod:`repro.vm.blocks`, and fall back to the reference on any fault.
 
 Forward-slot ("execute") semantics follow the hardware description in
 the paper: when a likely-taken branch with ``n_slots`` forward slots is
@@ -14,6 +15,7 @@ slots cancels the countdown, which is exactly what an absorbed unlikely
 branch does when it fires.
 """
 
+import contextlib
 import time
 
 from repro.isa.opcodes import Opcode
@@ -92,15 +94,14 @@ class MachineResult:
     """Outcome of a program run."""
 
     __slots__ = ("output", "instructions", "trace", "exit_value",
-                 "probe_counts", "addresses")
+                 "addresses")
 
     def __init__(self, output, instructions, trace, exit_value,
-                 probe_counts=None, addresses=None):
+                 addresses=None):
         self.output = output
         self.instructions = instructions
         self.trace = trace
         self.exit_value = exit_value
-        self.probe_counts = probe_counts
         self.addresses = addresses
 
     def output_text(self):
@@ -124,17 +125,13 @@ class Machine:
             forward slots with an alternate-PC countdown).
         max_instructions: dynamic instruction budget; exceeding it
             raises :class:`ExecutionLimitExceeded`.
-        probe_addresses: optional iterable of instruction addresses
-            (basic-block leaders); the machine counts how many times each
-            is reached, reproducing the paper's profiling probes.
         address_trace: when True, record the address of every executed
             instruction (the fetch stream).  Memory-hungry; used by the
             instruction-cache locality ablation on small inputs.
     """
 
     def __init__(self, program, inputs=(), trace=False, slot_mode="direct",
-                 max_instructions=200_000_000, probe_addresses=None,
-                 address_trace=False):
+                 max_instructions=200_000_000, address_trace=False):
         if not isinstance(program, Program):
             raise TypeError("expected a Program, got %r" % type(program))
         if not program.resolved:
@@ -146,9 +143,6 @@ class Machine:
         self.trace_enabled = trace
         self.slot_mode = slot_mode
         self.max_instructions = max_instructions
-        self.probe_addresses = (
-            frozenset(probe_addresses) if probe_addresses is not None else None
-        )
         self.address_trace_enabled = address_trace
 
     def run(self):
@@ -161,9 +155,9 @@ class Machine:
         rate from the result's instruction count.
         """
         if not TELEMETRY.enabled:
-            return self._run()
+            return self._dispatch()
         start = time.perf_counter()
-        result = self._run()
+        result = self._dispatch()
         duration = time.perf_counter() - start
         TELEMETRY.count("vm.runs")
         TELEMETRY.count("vm.instructions", result.instructions)
@@ -176,7 +170,20 @@ class Machine:
             traced=self.trace_enabled)
         return result
 
+    def _dispatch(self):
+        """The block translator where it applies, else the reference."""
+        if self.slot_mode == "direct" and not self.address_trace_enabled:
+            from repro.vm.blocks import run_blocks
+
+            result = run_blocks(self)
+            if result is not None:
+                return result
+            if TELEMETRY.enabled:
+                TELEMETRY.count("vm.fallbacks")
+        return self._run()
+
     def _run(self):
+        """The reference interpreter: one dispatch per instruction."""
         program = self.program
         code = _decode(program)
         tables = [table.entries for table in program.jump_tables]
@@ -217,17 +224,11 @@ class Machine:
         pending_target = -1
         exit_value = 0
 
-        probing = self.probe_addresses is not None
-        probe_counts = (
-            dict.fromkeys(self.probe_addresses, 0) if probing else None
-        )
         address_tracing = self.address_trace_enabled
         addresses = [] if address_tracing else None
         addresses_append = addresses.append if address_tracing else None
 
         while True:
-            if probing and pc in probe_counts:
-                probe_counts[pc] += 1
             if address_tracing:
                 addresses_append(pc)
             ins = code[pc]
@@ -442,7 +443,7 @@ class Machine:
         if tracing:
             trace.total_instructions = executed
         return MachineResult(bytes(output), executed, trace, exit_value,
-                             probe_counts, addresses)
+                             addresses)
 
 
 def _decode(program):
@@ -458,6 +459,29 @@ def _decode(program):
             instr.orig_target if instr.orig_target is not None else instr.target,
         ))
     return decoded
+
+
+@contextlib.contextmanager
+def translated(program, timer=None):
+    """Translate ``program`` once for every run inside the block.
+
+    Without it each fast-path run translates the program afresh.  The
+    translation is dropped when the block exits, so it lives only as
+    long as the runs that use it.  ``timer``, an optional context
+    manager, times the translation alone.
+    """
+    from repro.vm.blocks import BlockTranslation
+
+    outer = program.__dict__.get("_block_translation")
+    with timer if timer is not None else contextlib.nullcontext():
+        program._block_translation = BlockTranslation(program)
+    try:
+        yield program._block_translation
+    finally:
+        if outer is None:
+            del program._block_translation
+        else:
+            program._block_translation = outer
 
 
 def run_program(program, inputs=(), trace=False, slot_mode="direct",

@@ -4,12 +4,16 @@ A *branch record* captures one dynamic execution of a branch
 instruction; the sequence of records plus the total dynamic instruction
 count is everything the predictors, the cost model, and Tables 1-3 need.
 
-Records are stored column-wise in plain lists for speed (the VM appends
-tens of thousands of records per second) and can be converted to numpy
-arrays for on-disk caching.
+Records are stored column-wise in plain lists (the reference VM appends
+them one at a time) and can be converted to numpy arrays for on-disk
+caching.  A trace that starts out as NumPy columns — recorded by the
+block translator or loaded from the cache — keeps only its kernel
+encoding until something asks for the lists.
 """
 
 import numpy as np
+
+_COLUMNS = ("sites", "classes", "takens", "targets", "gaps")
 
 
 class BranchClass:
@@ -84,6 +88,9 @@ class BranchTrace:
 
     ``total_instructions`` counts every executed instruction including
     the branches themselves.
+
+    A trace made by :meth:`from_encoded` builds the five lists on first
+    access; until then its records live only in the encoding.
     """
 
     def __init__(self):
@@ -93,6 +100,30 @@ class BranchTrace:
         self.targets = []
         self.gaps = []
         self.total_instructions = 0
+
+    @classmethod
+    def from_encoded(cls, encoded):
+        """A trace of ``encoded``'s records, lists built on first use."""
+        trace = cls.__new__(cls)
+        trace.total_instructions = encoded.total_instructions
+        trace._encoded = encoded
+        return trace
+
+    def __getattr__(self, name):
+        # Reached only for attributes not set: the columns of a trace
+        # made by from_encoded, before their first use.
+        encoded = self.__dict__.get("_encoded")
+        if name not in _COLUMNS or encoded is None:
+            raise AttributeError(name)
+        for column in _COLUMNS:
+            values = getattr(encoded, column)
+            if values.dtype == bool:
+                values = values.astype(np.int8)
+            self.__dict__[column] = values.tolist()
+        return self.__dict__[name]
+
+    def _lists_built(self):
+        return "sites" in self.__dict__
 
     # -- construction -----------------------------------------------------
 
@@ -104,18 +135,34 @@ class BranchTrace:
         self.gaps.append(gap)
 
     def extend(self, other):
-        """Concatenate ``other``'s records (merging multiple runs)."""
-        self.sites.extend(other.sites)
-        self.classes.extend(other.classes)
-        self.takens.extend(other.takens)
-        self.targets.extend(other.targets)
-        self.gaps.extend(other.gaps)
+        """Concatenate ``other``'s records (merging multiple runs).
+
+        When both traces carry a current kernel encoding, the merged
+        trace gets the concatenated encoding, and lists that neither
+        trace has built yet stay unbuilt.
+        """
+        from repro.kernels.encode import EncodedTrace
+
+        mine = EncodedTrace.cached(self)
+        theirs = EncodedTrace.cached(other)
+        both = mine is not None and theirs is not None
+        if not (both and not self._lists_built()
+                and not other._lists_built()):
+            self.sites.extend(other.sites)
+            self.classes.extend(other.classes)
+            self.takens.extend(other.takens)
+            self.targets.extend(other.targets)
+            self.gaps.extend(other.gaps)
         self.total_instructions += other.total_instructions
+        if both:
+            self._encoded = EncodedTrace.concatenate(mine, theirs)
 
     # -- access -------------------------------------------------------------
 
     def __len__(self):
-        return len(self.sites)
+        if self._lists_built():
+            return len(self.sites)
+        return len(self._encoded)
 
     def __getitem__(self, index):
         return BranchRecord(
@@ -154,13 +201,20 @@ class BranchTrace:
     # -- serialisation -----------------------------------------------------------
 
     def to_arrays(self):
-        """Pack the trace into numpy arrays for on-disk caching."""
+        """Pack the trace into numpy arrays for on-disk caching.
+
+        The columns come from the (memoized) kernel encoding, so the
+        simulations that follow a cache store reuse the conversion.
+        """
+        from repro.kernels.encode import EncodedTrace
+
+        encoded = EncodedTrace.of(self)
         return {
-            "sites": np.asarray(self.sites, dtype=np.int64),
-            "classes": np.asarray(self.classes, dtype=np.int8),
-            "takens": np.asarray(self.takens, dtype=np.int8),
-            "targets": np.asarray(self.targets, dtype=np.int64),
-            "gaps": np.asarray(self.gaps, dtype=np.int64),
+            "sites": encoded.sites,
+            "classes": encoded.classes,
+            "takens": encoded.takens.astype(np.int8),
+            "targets": encoded.targets,
+            "gaps": encoded.gaps,
             "total_instructions": np.int64(self.total_instructions),
         }
 
@@ -169,23 +223,15 @@ class BranchTrace:
         """Rebuild a trace saved by :meth:`to_arrays`.
 
         The arrays are already the columnar form the vector engine
-        wants, so the kernel encoding is stashed directly — a cached
-        trace never pays the list-to-array conversion again.
+        wants, so they become the trace's kernel encoding directly; the
+        lists are built only if something asks for them.
         """
         from repro.kernels.encode import EncodedTrace
 
-        trace = cls()
-        trace.sites = arrays["sites"].tolist()
-        trace.classes = arrays["classes"].tolist()
-        trace.takens = arrays["takens"].tolist()
-        trace.targets = arrays["targets"].tolist()
-        trace.gaps = arrays["gaps"].tolist()
-        trace.total_instructions = int(arrays["total_instructions"])
-        trace._encoded = EncodedTrace.from_columns(
+        return cls.from_encoded(EncodedTrace.from_columns(
             arrays["sites"], arrays["classes"], arrays["takens"],
             arrays["targets"], arrays["gaps"],
-            trace.total_instructions)
-        return trace
+            int(arrays["total_instructions"])))
 
 
 class TraceStats:

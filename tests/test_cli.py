@@ -115,6 +115,10 @@ def test_main_profile_with_telemetry(capsys, tmp_path, monkeypatch):
     assert exit_code == 0
     captured = capsys.readouterr()
     assert "profile of wc" in captured.out
+    # Block translation and the trace-derived profile fold have their
+    # own stage rows beside the two VM passes.
+    for stage in ("vm_translate", "profile", "profile_fold", "trace"):
+        assert "\n  %-12s " % stage in captured.out
     assert "telemetry spans" in captured.out
     assert str(log) in captured.err
     assert log.exists()

@@ -1,4 +1,4 @@
-"""Tests for the probe-based profiler."""
+"""Tests for the profiler (block counts and branch statistics)."""
 
 from repro.cfg import ControlFlowGraph
 from repro.lang import compile_source

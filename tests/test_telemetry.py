@@ -343,7 +343,8 @@ def test_runner_writes_manifest(tmp_path):
     assert manifest.format_version == CACHE_FORMAT_VERSION
     assert manifest.cache_key in manifests[0].name
     assert manifest.config["scale"] == 0.05
-    assert set(manifest.stages) >= {"compile", "profile", "trace"}
+    assert set(manifest.stages) >= {"compile", "vm_translate", "profile",
+                                    "profile_fold", "trace"}
     assert all(seconds >= 0.0 for seconds in manifest.stages.values())
     for artifact in manifest.artifacts.values():
         assert (tmp_path / artifact).exists()

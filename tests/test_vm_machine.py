@@ -1,4 +1,4 @@
-"""Tests for the virtual machine: semantics, faults, tracing, probes."""
+"""Tests for the virtual machine: semantics, faults, tracing, block counts."""
 
 import pytest
 
@@ -260,10 +260,14 @@ def test_trace_targets_match_taken_pcs():
         assert record.target >= 0
 
 
-# --- probes ----------------------------------------------------------------
+# --- block counts ------------------------------------------------------------
 
 
 def test_probe_counts():
+    """Block counts derived from the trace of a run (every address a
+    leader) add up to the run's instruction count."""
+    from repro.profiling import Profile
+
     program = compile_source("""
         int main() {
             int i;
@@ -271,14 +275,15 @@ def test_probe_counts():
             return 0;
         }
     """, "t")
-    # Probe every address; leader selection is exercised elsewhere.
-    machine = Machine(program, probe_addresses=range(len(program)))
-    result = machine.run()
-    assert result.probe_counts is not None
-    assert sum(result.probe_counts.values()) == result.instructions
-    assert max(result.probe_counts.values()) >= 6
+    result = Machine(program, trace=True).run()
+    profile = Profile()
+    profile.add_run(result.trace, range(len(program)), program.entry)
+    assert sum(profile.block_counts.values()) == result.instructions
+    assert max(profile.block_counts.values()) >= 6
 
 
-def test_probes_off_by_default():
+def test_plain_run_records_nothing():
     program = assemble("func main:\n    halt\n")
-    assert run_program(program).probe_counts is None
+    result = run_program(program)
+    assert result.trace is None
+    assert result.addresses is None

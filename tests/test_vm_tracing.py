@@ -87,6 +87,47 @@ def test_roundtrip_arrays():
         assert rebuilt[index] == trace[index]
 
 
+def _columns(trace):
+    return (trace.sites, trace.classes, trace.takens, trace.targets,
+            trace.gaps, trace.total_instructions)
+
+
+def test_loaded_trace_builds_lists_on_first_use():
+    trace = _sample_trace()
+    rebuilt = BranchTrace.from_arrays(trace.to_arrays())
+    assert "sites" not in vars(rebuilt)
+    assert len(rebuilt) == len(trace)
+    assert rebuilt.stats().conditional == 2
+    assert "sites" not in vars(rebuilt)
+    assert _columns(rebuilt) == _columns(trace)
+    assert all(type(taken) is int for taken in rebuilt.takens)
+
+
+def test_extend_merges_unbuilt_and_built_traces_alike():
+    from repro.kernels.encode import EncodedTrace
+
+    def loaded():
+        return BranchTrace.from_arrays(_sample_trace().to_arrays())
+
+    expected = _sample_trace()
+    for _ in range(2):
+        expected.extend(_sample_trace())
+    unbuilt = loaded()
+    unbuilt.extend(loaded())
+    unbuilt.extend(loaded())
+    assert "sites" not in vars(unbuilt)
+    assert len(EncodedTrace.of(unbuilt)) == 15
+    mixed = loaded()
+    mixed.extend(_sample_trace())
+    mixed.extend(loaded())
+    for merged in (unbuilt, mixed):
+        assert _columns(merged) == _columns(expected)
+        assert EncodedTrace.of(merged).total_instructions == 45
+    mixed.append(60, BranchClass.CONDITIONAL, False, 61, 0)
+    assert len(mixed) == 16
+    assert len(EncodedTrace.of(mixed)) == 16
+
+
 @given(st.lists(st.tuples(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=0, max_value=3),
