@@ -20,7 +20,7 @@ marker expression — and enforces:
    (a collection discrepancy would mean the two runs disagree about
    what the suite even is);
 5. every file in ``REQUIRED_BATTERY_FILES`` — the differential
-   equivalence batteries that lock down the vector/chunked engines,
+   equivalence batteries that lock down the vector engine,
    the block-translated VM and the trace-derived profile —
    contributes at least one slow-marked battery test (a renamed or
    deleted battery must fail loudly here, not silently stop gating).
@@ -36,7 +36,6 @@ import sys
 REQUIRED_BATTERY_FILES = (
     "tests/test_characterize.py",
     "tests/test_cycle_kernel_equivalence.py",
-    "tests/test_chunked_properties.py",
     "tests/test_vm_equivalence.py",
     "tests/test_profile_oracle.py",
 )

@@ -59,7 +59,7 @@ _ORDER = ("table1", "table2", "table3", "table4", "table5", "figures",
 
 #: Subcommands that accept an optional target name positionally (a
 #: benchmark, or for 'characterize' a roster predictor).
-_TARGETED = ("stats", "profile", "trace", "characterize", "chunked")
+_TARGETED = ("stats", "profile", "trace", "characterize")
 
 #: Subcommands that never touch the trace cache directory.
 _CACHELESS = ("lint", "cache", "faults", "top", "metrics",
@@ -81,7 +81,6 @@ def build_parser():
                                                         "lint", "stats",
                                                         "profile", "cache",
                                                         "conformance",
-                                                        "chunked",
                                                         "faults", "top",
                                                         "metrics",
                                                         "bench-history",
@@ -130,16 +129,10 @@ def build_parser():
                              "HTTP/JSON (submit campaigns, poll "
                              "status, stream shard results, fetch "
                              "tables; see docs/SERVICE.md) until "
-                             "interrupted; 'chunked' runs a "
-                             "benchmark's trace through the chunked "
-                             "multi-process engine (--chunks, "
-                             "--workers) and cross-checks every "
-                             "scheme bit-for-bit against the "
-                             "single-process vector engine, exiting "
-                             "non-zero on any divergence")
+                             "interrupted")
     parser.add_argument("target", nargs="?", default=None,
-                        help="benchmark name for 'stats', 'profile', "
-                             "'trace' and 'chunked' (default wc); "
+                        help="benchmark name for 'stats', 'profile' "
+                             "and 'trace' (default wc); "
                              "roster predictor name for "
                              "'characterize' (default: whole roster)")
     parser.add_argument("--scale", type=float, default=1.0,
@@ -162,20 +155,9 @@ def build_parser():
                              "estimates it from the IR alone — the "
                              "profiler is never invoked and manifests "
                              "record the source")
-    parser.add_argument("--engine", choices=("auto", "scalar", "vector"),
-                        default="auto",
-                        help="simulation engine: 'vector' runs the "
-                             "batch kernels, 'scalar' the per-record "
-                             "reference loop, 'auto' (default) picks "
-                             "vector for large traces; results are "
-                             "bit-identical either way")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers for trace collection "
-                             "(needs the cache enabled); for "
-                             "'chunked': supervised worker processes")
-    parser.add_argument("--chunks", type=int, default=4,
-                        help="for 'chunked': trace segments to "
-                             "execute in parallel (default 4)")
+                             "(needs the cache enabled)")
     parser.add_argument("--verify", dest="verify", action="store_true",
                         default=True,
                         help="run the IR verifier after every compiler "
@@ -285,67 +267,6 @@ def _dump_trace(runner, names, limit):
     if len(run.trace) > limit:
         lines.append("... %d more records" % (len(run.trace) - limit))
     return "\n".join(lines) + "\n"
-
-
-def _chunked(runner, names, chunks, workers):
-    """'chunked': self-checking multi-process run over one benchmark.
-
-    Executes every chunkable scheme's prediction pass through the
-    two-phase chunked engine (process pool under the resilience
-    supervisor, memory-mapped trace columns) and cross-checks each
-    result bit-for-bit against the single-process vector engine.  Any
-    divergence is listed and the command exits non-zero — this is the
-    interactive twin of the benchmark gate's exactness assertion.
-    """
-    import tempfile
-    import time as time_module
-
-    from repro.kernels.chunked import chunked_stats, supports_chunked
-    from repro.predictors import (
-        Bimodal,
-        CounterBTB,
-        GShare,
-        SimpleBTB,
-        simulate,
-    )
-
-    name = (names or ["wc"])[0]
-    run = runner.run(name)
-    trace = run.trace
-    roster = (("SBTB", SimpleBTB), ("CBTB", CounterBTB),
-              ("GShare", GShare), ("Bimodal", Bimodal))
-    lines = ["chunked engine on %s (%d records): %d chunks, %d "
-             "worker process%s"
-             % (name, len(trace), chunks, workers,
-                "" if workers == 1 else "es"),
-             "%-8s %10s %10s %9s  %s"
-             % ("scheme", "accuracy", "chunked", "vector", "verdict")]
-    divergent = []
-    with tempfile.TemporaryDirectory(prefix="repro-chunked-") as scratch:
-        for label, factory in roster:
-            assert supports_chunked(factory())
-            start = time_module.perf_counter()
-            stats = chunked_stats(factory(), trace, chunks=chunks,
-                                  workers=workers, process=True,
-                                  scratch="%s/%s" % (scratch, label))
-            chunked_seconds = time_module.perf_counter() - start
-            start = time_module.perf_counter()
-            reference = simulate(factory(), trace, engine="vector")
-            vector_seconds = time_module.perf_counter() - start
-            exact = stats == reference
-            if not exact:
-                divergent.append(label)
-            lines.append("%-8s %9.2f%% %9.3fs %8.3fs  %s"
-                         % (label, 100.0 * stats.accuracy,
-                            chunked_seconds, vector_seconds,
-                            "exact" if exact else "DIVERGED"))
-    if divergent:
-        lines.append("DIVERGENCE: chunked and vector engines disagree "
-                     "on %s" % ", ".join(divergent))
-    else:
-        lines.append("all %d schemes bit-identical to the "
-                     "single-process vector engine" % len(roster))
-    return "\n".join(lines) + "\n", 1 if divergent else 0
 
 
 def _lint_stages(label, program):
@@ -646,9 +567,6 @@ def _validate_args(args):
     if args.workers < 1:
         return _usage_error("--workers must be >= 1 (got %d)"
                             % args.workers)
-    if args.chunks < 1:
-        return _usage_error("--chunks must be >= 1 (got %d)"
-                            % args.chunks)
     if args.seeds is not None and args.seeds < 1:
         return _usage_error("--seeds must be >= 1 (got %d)" % args.seeds)
     if args.limit < 1:
@@ -700,8 +618,7 @@ def _sweep_checkpoint(runner, names, sections, label, resume):
     )
 
     fingerprint = sweep_fingerprint(sections, runner.scale, runner.runs,
-                                    names, CACHE_FORMAT_VERSION,
-                                    engine=runner.engine)
+                                    names, CACHE_FORMAT_VERSION)
     path = (runner.cache_dir / "checkpoints"
             / ("%s-%s.json" % (label, fingerprint)))
     return SweepCheckpoint(path, fingerprint)
@@ -794,13 +711,8 @@ def main(argv=None):
             _write_output(text, args.output)
         return exit_code
 
-    from repro.kernels import set_default_engine
-
     event_log = _enable_telemetry(args) if args.telemetry else None
     exit_code = 0
-    # The process-wide default makes library code that calls
-    # simulate() without an engine argument follow --engine too.
-    previous_engine = set_default_engine(args.engine)
     try:
         if args.experiment == "conformance":
             from repro.conformance import run_conformance, write_golden
@@ -853,12 +765,9 @@ def main(argv=None):
         runner = SuiteRunner(scale=args.scale, runs=args.runs,
                              cache_dir=False if args.no_cache else None,
                              verify=args.verify, event_log=event_log,
-                             engine=args.engine,
                              profile_source=args.profile_source)
         names = ([args.target] if args.target else None) or args.benchmarks
-        # For 'chunked', --workers sizes the supervised chunk pool,
-        # not trace collection — skip the parallel pre-warm sweep.
-        if args.workers > 1 and args.experiment != "chunked":
+        if args.workers > 1:
             from repro.benchmarksuite import ALL_BENCHMARK_NAMES
             runner.run_all(names or ALL_BENCHMARK_NAMES,
                            workers=args.workers)
@@ -883,13 +792,9 @@ def main(argv=None):
         elif args.experiment == "profile":
             from repro.experiments.stats import render_profile
             text = render_profile(runner, names)
-        elif args.experiment == "chunked":
-            text, exit_code = _chunked(runner, names, args.chunks,
-                                       args.workers)
         else:
             text = _EXPERIMENTS[args.experiment](runner, names)
     finally:
-        set_default_engine(previous_engine)
         if event_log is not None:
             from repro.telemetry.core import TELEMETRY
 

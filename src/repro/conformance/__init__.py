@@ -26,6 +26,7 @@ the telemetry event stream.
 from repro.conformance.differential import (
     Divergence,
     cycle_divergence,
+    engine_check,
     engine_divergence,
     replay_divergence,
     shrink_trace,
@@ -59,6 +60,7 @@ __all__ = [
     "check_golden",
     "check_paper_bands",
     "cycle_divergence",
+    "engine_check",
     "engine_divergence",
     "oracle_for",
     "replay_divergence",

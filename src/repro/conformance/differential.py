@@ -118,31 +118,44 @@ def replay_divergence(production, oracle, trace, ras_returns=True,
     return None
 
 
-def engine_divergence(make_predictor, trace, ras_returns=True,
-                      conditional_only=False):
-    """Compare the scalar and vector simulation engines on one trace.
+def engine_check(make_predictor, trace, ras_returns=True,
+                 conditional_only=False):
+    """Compare a batch kernel against the scalar reference on one trace.
 
-    Simulates a fresh predictor from ``make_predictor`` once per
-    engine and compares the two ``PredictionStats`` field for field —
-    the bit-identity contract of :mod:`repro.kernels`.  Returns an
-    aggregate :class:`Divergence` or None; also None when the
-    predictor has no vector kernel (nothing to cross-check).
+    Runs a fresh predictor from ``make_predictor`` through its kernel
+    and through the scalar loop and compares the two
+    ``PredictionStats`` field for field — the bit-identity contract of
+    :mod:`repro.kernels`.  Returns ``(exercised, divergence)``:
+    ``exercised`` is False when no kernel ran, because the predictor
+    has none or its overflow screen declined the trace (a vector
+    ``simulate()`` would then run the reference against itself);
+    ``divergence`` is an aggregate :class:`Divergence` or None.
     """
-    from repro.kernels import supports
+    from repro.kernels import simulate_vector, supports
     from repro.predictors.base import simulate
 
     if not supports(make_predictor()):
-        return None
+        return False, None
+    vector = simulate_vector(make_predictor(), trace,
+                             conditional_only=conditional_only,
+                             ras_returns=ras_returns)
+    if vector is None:
+        return False, None
     scalar = simulate(make_predictor(), trace, engine="scalar",
                       conditional_only=conditional_only,
                       ras_returns=ras_returns)
-    vector = simulate(make_predictor(), trace, engine="vector",
-                      conditional_only=conditional_only,
-                      ras_returns=ras_returns)
     if scalar != vector:
-        return Divergence("engine", None, None, scalar.as_dict(),
-                          vector.as_dict())
-    return None
+        return True, Divergence("engine", None, None, scalar.as_dict(),
+                                vector.as_dict())
+    return True, None
+
+
+def engine_divergence(make_predictor, trace, ras_returns=True,
+                      conditional_only=False):
+    """The divergence half of :func:`engine_check` (None when equal
+    or when no kernel ran)."""
+    return engine_check(make_predictor, trace, ras_returns=ras_returns,
+                        conditional_only=conditional_only)[1]
 
 
 def cycle_divergence(config, make_production, make_oracle, trace,

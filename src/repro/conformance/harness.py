@@ -24,6 +24,7 @@ pinpoints the failure without rerunning anything.
 
 from repro.conformance.differential import (
     cycle_divergence,
+    engine_check,
     engine_divergence,
     replay_divergence,
     shrink_trace,
@@ -100,6 +101,7 @@ class ConformanceReport:
         self.cycle_checks = 0
         self.vector_cycle_checks = 0
         self.engine_checks = 0
+        self.engine_fallbacks = 0
         self.probe_checks = 0
         self.findings = []
         self.band_violations = []
@@ -122,7 +124,9 @@ class ConformanceReport:
         else:
             lines.append("differential replay: zero divergences")
         lines.append("engine cross-check (scalar vs vector): "
-                     "%d comparisons" % self.engine_checks)
+                     "%d comparisons exercised a kernel, %d fell back "
+                     "to the scalar reference"
+                     % (self.engine_checks, self.engine_fallbacks))
         lines.append("vector cycle-sim vs oracle interpreter: "
                      "%d comparisons" % self.vector_cycle_checks)
         if self.probe_checks:
@@ -251,8 +255,12 @@ def run_conformance(seeds=200, first_seed=0, golden=True, cache=True,
                     _note_divergence(report, scheme, seed, divergence,
                                      reproducer)
                     continue
-                report.engine_checks += 1
-                divergence = engine_divergence(make_production, trace)
+                exercised, divergence = engine_check(make_production,
+                                                     trace)
+                if exercised:
+                    report.engine_checks += 1
+                else:
+                    report.engine_fallbacks += 1
                 if divergence is not None:
                     reproducer = shrink_trace(
                         trace,
@@ -309,5 +317,7 @@ def run_conformance(seeds=200, first_seed=0, golden=True, cache=True,
                     seeds=seeds, replays=report.replays,
                     cycle_checks=report.cycle_checks,
                     vector_cycle_checks=report.vector_cycle_checks,
+                    engine_checks=report.engine_checks,
+                    engine_fallbacks=report.engine_fallbacks,
                     divergences=len(report.findings))
     return report

@@ -174,39 +174,6 @@ class BenchmarkRun:
             self._predictions = results
         return results
 
-    def chunked_predictions(self, entries=256, associativity=None,
-                            counter_bits=2, threshold=2, chunks=4,
-                            workers=None, process=False, scratch=None):
-        """:meth:`predictions`, computed by the segmented engine.
-
-        Drop-in replacement: the buffer schemes (SBTB/CBTB) run
-        through the two-phase chunked engine — optionally on a
-        supervised process pool — while FS, which the segmented
-        engine does not support, takes the ordinary path.  Results
-        are bit-identical to :meth:`predictions`; this exists so a
-        sweep can spread one huge trace across cores without anyone
-        downstream being able to tell.
-        """
-        from repro.kernels.chunked import chunked_stats
-
-        with TELEMETRY.span("runner.predict.chunked",
-                            benchmark=self.name, entries=entries,
-                            chunks=chunks):
-            return {
-                "SBTB": chunked_stats(
-                    SimpleBTB(entries, associativity), self.trace,
-                    chunks=chunks, workers=workers, process=process,
-                    scratch=scratch),
-                "CBTB": chunked_stats(
-                    CounterBTB(entries, associativity, counter_bits,
-                               threshold),
-                    self.trace, chunks=chunks, workers=workers,
-                    process=process, scratch=scratch),
-                "FS": simulate(
-                    ForwardSemanticPredictor(program=self.fs_program),
-                    self.trace, engine=self.engine),
-            }
-
     def expansions(self):
         """Table 5's code-size reports, one per slot count."""
         if self._expansions is None:

@@ -1,9 +1,9 @@
-"""Vectorized simulation kernels (the ``--engine=vector`` path).
+"""Vectorized simulation kernels (the ``engine="vector"`` path).
 
 The scalar simulator in :mod:`repro.predictors.base` walks a branch
 trace one record at a time through Python objects — honest, simple,
-and the throughput ceiling of every sweep and fuzz campaign.  This
-package re-expresses the same predictors as NumPy array programs:
+and the reference every kernel is checked against.  This package
+re-expresses the same predictors as NumPy array programs:
 
 * traces are encoded once into column arrays
   (:class:`~repro.kernels.encode.EncodedTrace`), reusing the arrays
@@ -13,35 +13,28 @@ package re-expresses the same predictors as NumPy array programs:
   for the SBTB/CBTB associative buffers,
   :mod:`~repro.kernels.direction` for gshare/bimodal,
   :mod:`~repro.kernels.static` for the FS and static baselines);
-* the associative-table kernels partition work by cache set and drop
-  to a tight per-set scalar replay only for sets under real capacity
-  pressure (see docs/PERFORMANCE.md for the closed forms);
+* the associative-table kernels are closed forms that hold while no
+  cache set evicts; an exact overflow screen detects the first record
+  that would evict, and the kernel then returns None so the caller
+  runs the scalar loop instead (see docs/PERFORMANCE.md);
 * :mod:`~repro.kernels.aggregate` folds per-record outcomes into the
   same :class:`~repro.predictors.base.PredictionStats` the scalar
   simulator produces.
 
-The contract is **bit identity**: for every supported predictor and
-every trace, the vector engine returns a ``PredictionStats`` equal
-field-for-field to the scalar simulator's.  The differential
-equivalence tests, the conformance engine cross-check, and the golden
-tables all enforce it; a kernel that is fast but drifts is a bug.
+The contract is **exact or absent**: for every supported predictor
+and every trace, the vector engine either returns a
+``PredictionStats`` equal field-for-field to the scalar simulator's,
+or declines.  The differential equivalence tests, the conformance
+engine cross-check, and the golden tables all enforce it; a kernel
+that is fast but drifts is a bug.
 
-Engine selection lives in :mod:`~repro.kernels.engine`:
-``simulate(..., engine="auto")`` (the default) uses a kernel when one
-exists and the trace is large enough to amortise array setup, and the
-scalar loop otherwise.  The vector engine never mutates the predictor
-object it is handed — buffer-internal telemetry (occupancy, eviction
-counts) is a scalar-engine feature.
+Engine selection lives in :mod:`~repro.kernels.engine`.  Kernels never
+mutate the predictor object they are handed; buffer-internal
+telemetry (occupancy, eviction counts) is a scalar-engine feature.
 """
 
 from repro.kernels.encode import EncodedTrace
-from repro.kernels.engine import (
-    AUTO_THRESHOLD,
-    ENGINES,
-    get_default_engine,
-    resolve_engine,
-    set_default_engine,
-)
+from repro.kernels.engine import AUTO_THRESHOLD, ENGINES, resolve_engine
 
 
 def kernel_for(predictor):
@@ -81,40 +74,15 @@ def supports(predictor):
     return kernel_for(predictor) is not None
 
 
-def is_pristine(predictor):
-    """True when ``predictor`` is in its freshly-constructed state.
-
-    The closed forms reconstruct buffer contents from the trace alone,
-    which is only valid when the simulation starts from empty buffers
-    and initial counters — how every runner and sweep builds its
-    predictors.  A warm predictor (reused across simulate calls
-    without ``reset()``) is routed to the scalar engine instead.
-    """
-    from repro.predictors.bimodal import Bimodal
-    from repro.predictors.cbtb import CounterBTB
-    from repro.predictors.sbtb import SimpleBTB
-    from repro.predictors.twolevel import GShare
-
-    if isinstance(predictor, (SimpleBTB, CounterBTB)):
-        return len(predictor._cache) == 0
-    if isinstance(predictor, GShare):
-        return (predictor.history == 0
-                and len(predictor._targets) == 0
-                and predictor.counters.count(1) == len(predictor.counters))
-    if isinstance(predictor, Bimodal):
-        return (len(predictor._targets) == 0
-                and predictor.counters.count(1) == len(predictor.counters))
-    return True     # the software schemes carry no run-time state
-
-
 def simulate_vector(predictor, trace, conditional_only=False,
                     ras_returns=True):
     """Run ``predictor`` over ``trace`` with its batch kernel.
 
     Mirrors :func:`repro.predictors.base.simulate` exactly (without
     ``flush_interval``, which the engine resolver routes to the scalar
-    loop).  Raises ValueError for unsupported predictors — callers go
-    through :func:`resolve_engine` first.
+    loop).  Returns None when the kernel's overflow screen declines
+    the trace.  Raises ValueError for unsupported predictors — callers
+    go through :func:`resolve_engine` first.
     """
     from repro.kernels.aggregate import assemble_stats
 
@@ -126,15 +94,20 @@ def simulate_vector(predictor, trace, conditional_only=False,
                           ras_returns=ras_returns)
 
 
+def count_fallback():
+    """Record one kernel that declined a trace its screen flagged."""
+    from repro.telemetry.core import TELEMETRY
+
+    TELEMETRY.count("kernels.overflow_fallbacks")
+
+
 __all__ = [
     "AUTO_THRESHOLD",
     "ENGINES",
     "EncodedTrace",
-    "get_default_engine",
-    "is_pristine",
+    "count_fallback",
     "kernel_for",
     "resolve_engine",
-    "set_default_engine",
     "simulate_vector",
     "supports",
 ]

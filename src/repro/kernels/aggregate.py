@@ -23,7 +23,8 @@ def assemble_stats(kernel, predictor, enc, conditional_only=False,
     Mirrors the scalar simulator's record filtering: with
     ``conditional_only`` every non-conditional record is skipped
     outright; otherwise with ``ras_returns`` return records bypass the
-    predictor and score as correct non-buffer predictions.
+    predictor and score as correct non-buffer predictions.  Returns
+    None when the kernel declines the trace.
     """
     from repro.predictors.base import PredictionStats
 
@@ -41,7 +42,10 @@ def assemble_stats(kernel, predictor, enc, conditional_only=False,
         sub = enc
 
     if len(sub):
-        pred_taken, target_match, hit = kernel(predictor, sub)
+        outcome = kernel(predictor, sub)
+        if outcome is None:
+            return None
+        pred_taken, target_match, hit = outcome
         correct = np.where(sub.takens, pred_taken & target_match,
                            ~pred_taken)
         stats.total = len(sub)

@@ -37,6 +37,7 @@ def cycle_kernel(config, predictor, trace, ras_returns=True):
     The caller (:class:`~repro.pipeline.cycle_sim.CycleSimulator`)
     wraps the result in :class:`~repro.pipeline.cycle_sim.CycleStats`;
     keeping this module free of pipeline imports avoids a cycle.
+    Returns None when the predictor's kernel declines the trace.
     """
     from repro.kernels import kernel_for
 
@@ -50,8 +51,10 @@ def cycle_kernel(config, predictor, trace, ras_returns=True):
         if is_return.any():
             sub = enc.subset("no-returns", ~is_return)
     if len(sub):
-        pred_taken, target_match, _hit = kernel_for(predictor)(
-            predictor, sub)
+        outcome = kernel_for(predictor)(predictor, sub)
+        if outcome is None:
+            return None
+        pred_taken, target_match, _hit = outcome
         covered = np.where(sub.takens, pred_taken & target_match,
                            ~pred_taken)
         uncovered = ~covered

@@ -12,11 +12,11 @@ Both schemes split cleanly into two independent machines:
 * a **target store** — the same 256-entry BTB as the paper's schemes.
   Taken executions insert, nothing deletes, so while a set has not
   evicted, presence is "some earlier taken execution" and the stored
-  target is the latest such execution's.  The eviction screen and the
-  blocked replay (:mod:`repro.kernels.evict`) mirror
-  :mod:`repro.kernels.tables`; the replay needs one extra input, the
-  direction bit, because only predicted-taken conditionals touch (and
-  therefore refresh) the store on the predict path.
+  target is the latest such execution's.  The store shares the exact
+  overflow screen of :mod:`repro.kernels.tables`, and the kernel
+  returns None (the caller runs the scalar loop) when a set would
+  evict.  The screen runs before the direction scan, so a declined
+  trace costs only the store's scans.
 
 Hit/miss accounting collapses nicely: in every predict case the hit
 flag equals target-store presence (a confirmed lookup, a
@@ -25,28 +25,32 @@ predicted-taken lookup miss, or the not-taken path's ``contains``).
 
 import numpy as np
 
-from repro.kernels import evict, scan
+from repro.kernels import scan, tables
 from repro.vm.tracing import BranchClass
 
 
 def gshare_kernel(predictor, enc):
+    store = _target_store(predictor._targets, enc)
+    if store is None:
+        return None
     conditional = enc.classes == BranchClass.CONDITIONAL
     direction = np.ones(len(enc), dtype=bool)
     direction[conditional] = _gshare_direction(predictor,
                                                enc.sites[conditional],
                                                enc.takens[conditional])
-    return _with_target_store(predictor._targets, enc, conditional,
-                              direction)
+    return _score(enc, store, direction)
 
 
 def bimodal_kernel(predictor, enc):
+    store = _target_store(predictor._targets, enc)
+    if store is None:
+        return None
     conditional = enc.classes == BranchClass.CONDITIONAL
     index = enc.sites[conditional] & predictor.table_mask
     counter = _counter_scan(index, enc.takens[conditional])
     direction = np.ones(len(enc), dtype=bool)
     direction[conditional] = counter >= 2
-    return _with_target_store(predictor._targets, enc, conditional,
-                              direction)
+    return _score(enc, store, direction)
 
 
 def _gshare_direction(predictor, sites, takens):
@@ -74,35 +78,30 @@ def _counter_scan(index, takens):
                                  1)
 
 
-def _with_target_store(cache, enc, conditional, direction):
+def _target_store(cache, enc):
+    """``(present, stored)`` per record, or None when a set would evict.
+
+    Only a first taken execution allocates and nothing deletes, so
+    occupancy is the running count of those events.
+    """
+    takens, targets = enc.takens, enc.targets
+    last_taken = scan.last_marked_index(enc.site_groups(), takens)
+    present = last_taken >= 0
+    if tables.overflows(enc, cache, takens & ~present):
+        return None
+    stored = np.zeros(len(enc), dtype=np.int64)
+    stored[present] = targets[last_taken[present]]
+    return present, stored
+
+
+def _score(enc, store, direction):
     """Score records given per-record direction predictions.
 
     ``direction`` is True for non-conditional records (their predicted
     direction is presence itself), so uniformly:
     predicted-taken = present & direction, hit = present.
     """
-    n = len(enc)
-    sites, takens, targets = enc.sites, enc.takens, enc.targets
-
-    site_groups = enc.site_groups()
-    last_taken = scan.last_marked_index(site_groups, takens)
-    present = last_taken >= 0
-    stored = np.zeros(n, dtype=np.int64)
-    stored[present] = targets[last_taken[present]]
-
-    # Eviction screen: only a first taken execution allocates, nothing
-    # deletes, so occupancy is the running count of those events.
-    set_ids = sites % cache.n_sets
-    allocates = takens & ~present
-    occupancy = scan.running_total(enc.set_groups(cache.n_sets),
-                                   allocates)
-    mask = evict.overflow_rows(set_ids, occupancy, cache.associativity)
-    if mask is not None:
-        refreshes = ~conditional | direction
-        evict.store_evict(np.nonzero(mask)[0], set_ids, sites, takens,
-                          targets, refreshes, cache.associativity,
-                          present, stored)
-
+    present, stored = store
     pred_taken = present & direction
-    target_match = pred_taken & (stored == targets)
+    target_match = pred_taken & (stored == enc.targets)
     return pred_taken, target_match, present.astype(np.int8)

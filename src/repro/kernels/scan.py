@@ -241,8 +241,7 @@ def _inclusive_compose(delta, low, high, flags):
     return delta, low, high
 
 
-def exclusive_states(groups, deltas, lows, highs, init_state,
-                     inits=None):
+def exclusive_states(groups, deltas, lows, highs, init_state):
     """Run each group's state machine; the state *before* each record.
 
     Record ``j``'s transition is the clamped add
@@ -252,11 +251,6 @@ def exclusive_states(groups, deltas, lows, highs, init_state,
     group starts in ``init_state`` — moot for groups whose first
     transition is an allocation.  Returns int32 pre-record states in
     original record order.
-
-    ``inits``, when given, is a per-record int32 array (original
-    order) holding each record's *group's* initial state — the same
-    value across a group; chunked execution uses it to seed every
-    group with its carried-in counter instead of one global constant.
     """
     n = groups.n
     if n == 0:
@@ -276,69 +270,7 @@ def exclusive_states(groups, deltas, lows, highs, init_state,
     high[groups.starts] = _UNBOUNDED
     delta, low, high = _inclusive_compose(delta, low, high,
                                           groups.starts.copy())
-    if inits is None:
-        init = np.int32(init_state)
-    else:
-        init = np.asarray(inits, dtype=np.int32)[order]
+    init = np.int32(init_state)
     out = np.empty(n, dtype=np.int32)
     out[order] = np.minimum(np.maximum(init + delta, low), high)
     return out
-
-
-def segment_compositions(groups, deltas, lows, highs):
-    """Each group's whole-transition composition, in group order.
-
-    Composes every record's clamped-add transition within its group
-    (first to last) and returns ``(delta, low, high)`` int32 arrays,
-    one entry per group, ordered by group ordinal (ascending key).
-    Applying the triple to a state ``s`` —
-    ``clip(s + delta, low, high)`` — yields the state after the
-    group's last record.  Chunked execution ships these as the
-    per-chunk counter summaries that the coordinator folds.
-    """
-    n = groups.n
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int32)
-        return empty, empty.copy(), empty.copy()
-    order = groups.order
-    delta = np.ascontiguousarray(
-        np.asarray(deltas, dtype=np.int32)[order])
-    low = np.ascontiguousarray(np.asarray(lows, dtype=np.int32)[order])
-    high = np.ascontiguousarray(
-        np.asarray(highs, dtype=np.int32)[order])
-    delta, low, high = _inclusive_compose(delta, low, high,
-                                          groups.starts.copy())
-    ends = np.empty(int(groups.seg_ids[-1]) + 1, dtype=np.int64)
-    start_rows = np.nonzero(groups.starts)[0]
-    ends[:-1] = start_rows[1:] - 1
-    ends[-1] = n - 1
-    return delta[ends], low[ends], high[ends]
-
-
-def compose(first, second):
-    """Compose two clamped-add triples: apply ``first`` then ``second``.
-
-    Operands are ``(delta, low, high)`` tuples of equal-shaped int32
-    arrays (or scalars); returns the composed triple.  The identity is
-    ``(0, -UNBOUNDED, UNBOUNDED)`` — see :data:`identity`.
-    """
-    d_f, lo_f, hi_f = first
-    d_g, lo_g, hi_g = second
-    return (d_f + d_g,
-            np.minimum(np.maximum(lo_f + d_g, lo_g), hi_g),
-            np.minimum(np.maximum(hi_f + d_g, lo_g), hi_g))
-
-
-def apply_state(state, triple):
-    """Apply a clamped-add triple to a state (arrays or scalars)."""
-    delta, low, high = triple
-    return np.minimum(np.maximum(state + delta, low), high)
-
-
-def identity(shape=None):
-    """The identity clamped-add triple, scalar or array-shaped."""
-    if shape is None:
-        return (np.int32(0), np.int32(-_UNBOUNDED), _UNBOUNDED)
-    return (np.zeros(shape, dtype=np.int32),
-            np.full(shape, -_UNBOUNDED, dtype=np.int32),
-            np.full(shape, _UNBOUNDED, dtype=np.int32))

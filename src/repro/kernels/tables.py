@@ -13,70 +13,73 @@ segmented scans in :mod:`repro.kernels.scan`:
   site's private saturating walk, and its target is the last
   allocation-or-taken write.
 
-Eviction is detected exactly, per set, from the same closed forms: the
-no-eviction occupancy trajectory coincides with the real one up to the
-first eviction, and that first eviction is precisely the first record
-where the trajectory would exceed the set's way count.  Sets that
-never cross the line keep the closed-form answers; sets that do are
-re-simulated together by the blocked LRU replay in
-:mod:`repro.kernels.evict` — vectorized across all overflowing sets,
-bit-identical to the AssociativeCache recency contract.  The paper's
+Eviction is detected exactly, per set, from the same closed forms
+(:func:`overflows`): the no-eviction occupancy trajectory coincides
+with the real one up to the first eviction, and that first eviction is
+precisely the first record where the trajectory would exceed the set's
+way count.  When some set crosses the line the kernel returns None and
+the caller runs the scalar loop over the whole trace.  The paper's
 configuration — 256 entries, fully associative, against benchmarks
-with at most a couple hundred static branch sites — never overflows,
-so the eviction path is exercised by the small-buffer ablations and
-the equivalence tests, not the headline workload.
+with at most a couple hundred static branch sites — never overflows;
+only the small-buffer ablations fall back.
 
 Each kernel returns ``(pred_taken, target_match, hit)`` arrays over
-the encoded records; scoring and aggregation live in
+the encoded records, or None; scoring and aggregation live in
 :mod:`repro.kernels.aggregate`.
 """
 
 import numpy as np
 
-from repro.kernels import evict, scan
+from repro.kernels import scan
+
+
+def overflows(enc, cache, delta):
+    """True when some set of ``cache`` would evict over ``enc``.
+
+    ``delta`` is each record's no-eviction occupancy change in its set
+    (+1 allocation, -1 deletion, 0 otherwise).  The comparison is
+    strict: a set that exactly fills its ways never evicts, so it
+    keeps the closed-form answers.
+    """
+    occupancy = scan.running_total(enc.set_groups(cache.n_sets), delta)
+    return bool((occupancy > cache.associativity).any())
 
 
 def sbtb_kernel(predictor, enc):
     """SimpleBTB: present iff the previous execution was taken."""
-    cache = predictor._cache
     n = len(enc)
-    sites, takens, targets = enc.sites, enc.takens, enc.targets
+    takens, targets = enc.takens, enc.targets
 
-    site_groups = enc.site_groups()
-    prev = scan.previous_index(site_groups)
+    prev = scan.previous_index(enc.site_groups())
     has_prev = prev >= 0
     present = np.zeros(n, dtype=bool)
     present[has_prev] = takens[prev[has_prev]]
-    stored = np.zeros(n, dtype=np.int64)
-    stored[has_prev] = targets[prev[has_prev]]
 
-    # Eviction screen: +1 on allocation, -1 on deletion, per set.
-    set_ids = sites % cache.n_sets
     delta = np.zeros(n, dtype=np.int64)
     delta[takens & ~present] = 1
     delta[~takens & present] = -1
-    occupancy = scan.running_total(enc.set_groups(cache.n_sets), delta)
-    mask = evict.overflow_rows(set_ids, occupancy, cache.associativity)
-    if mask is not None:
-        evict.sbtb_evict(np.nonzero(mask)[0], set_ids, sites, takens,
-                         targets, cache.associativity, present, stored)
+    if overflows(enc, predictor._cache, delta):
+        return None
 
+    stored = np.zeros(n, dtype=np.int64)
+    stored[has_prev] = targets[prev[has_prev]]
     target_match = present & (stored == targets)
     return present, target_match, present.astype(np.int8)
 
 
 def cbtb_kernel(predictor, enc):
     """CounterBTB: presence from first execution, counters scanned."""
-    cache = predictor._cache
     threshold = predictor.threshold
     counter_max = predictor.counter_max
     n = len(enc)
-    sites, takens, targets = enc.sites, enc.takens, enc.targets
+    takens, targets = enc.takens, enc.targets
 
     site_groups = enc.site_groups()
-    prev = scan.previous_index(site_groups)
-    present = prev >= 0
+    present = scan.previous_index(site_groups) >= 0
     is_first = ~present
+    # Occupancy only grows (allocation per distinct site, no deletion).
+    if overflows(enc, predictor._cache, is_first):
+        return None
 
     # Counter before each execution, via the per-site saturating walk.
     # The allocating first execution is a constant map (insert
@@ -92,25 +95,11 @@ def cbtb_kernel(predictor, enc):
     counter = scan.exclusive_states(site_groups, delta, low, high, 0)
 
     # Stored target: written at allocation and on every taken update.
-    wrote = takens | is_first
-    last_write = scan.last_marked_index(site_groups, wrote)
+    last_write = scan.last_marked_index(site_groups, takens | is_first)
     has_write = last_write >= 0
     stored = np.zeros(n, dtype=np.int64)
     stored[has_write] = targets[last_write[has_write]]
 
     pred_taken = present & (counter >= threshold)
-
-    # Eviction screen: occupancy only grows (allocation per distinct
-    # site, no deletion), so a set overflows iff its distinct-site
-    # count ever exceeds the way count.
-    set_ids = sites % cache.n_sets
-    occupancy = scan.running_total(enc.set_groups(cache.n_sets),
-                                   is_first)
-    mask = evict.overflow_rows(set_ids, occupancy, cache.associativity)
-    if mask is not None:
-        evict.cbtb_evict(np.nonzero(mask)[0], set_ids, sites, takens,
-                         targets, cache.associativity, threshold,
-                         counter_max, present, pred_taken, stored)
-
     target_match = pred_taken & (stored == targets)
     return pred_taken, target_match, present.astype(np.int8)

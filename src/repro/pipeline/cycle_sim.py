@@ -22,7 +22,7 @@ equation (which replaces the per-class penalties with the averaged
 k + l_bar + m_bar) is the model-validation ablation in DESIGN.md.
 """
 
-from repro.predictors.base import is_correct
+from repro.predictors.base import is_correct, start_cold
 from repro.vm.tracing import BranchClass
 
 
@@ -93,12 +93,13 @@ class CycleSimulator:
         ras_returns: model the shared return-address mechanism (returns
             always covered); matches the accounting of
             :func:`repro.predictors.base.simulate`.
-        engine: ``auto`` / ``scalar`` / ``vector`` — the same surface
-            as :func:`repro.predictors.base.simulate`.  ``None`` uses
-            the process-wide default.  The vector path
-            (:mod:`repro.kernels.cycle`) is bit-identical and, like
-            ``simulate()``, leaves the predictor object untouched;
-            the scalar path advances it record by record.
+        engine: ``auto`` / ``scalar`` / ``vector`` or None (auto) —
+            the same surface as :func:`repro.predictors.base.simulate`.
+            The vector path (:mod:`repro.kernels.cycle`) is
+            bit-identical and, like ``simulate()``, leaves the
+            predictor object untouched; the scalar path resets it and
+            advances it record by record, so every :meth:`run` starts
+            cold.
     """
 
     def __init__(self, config, predictor, ras_returns=True,
@@ -110,7 +111,7 @@ class CycleSimulator:
 
     def run(self, trace):
         """Simulate ``trace``; returns :class:`CycleStats`."""
-        from repro.kernels import resolve_engine
+        from repro.kernels import count_fallback, resolve_engine
 
         resolved = resolve_engine(self.engine, self.predictor, trace)
         if resolved == "vector":
@@ -118,12 +119,16 @@ class CycleSimulator:
 
             fields = cycle_kernel(self.config, self.predictor, trace,
                                   self.ras_returns)
-            stats = CycleStats(**fields)
-            self._report(stats, resolved)
-            return stats
+            if fields is not None:
+                stats = CycleStats(**fields)
+                self._report(stats, resolved)
+                return stats
+            count_fallback()
+            resolved = "scalar"
 
         config = self.config
         predictor = self.predictor
+        start_cold(predictor)
         conditional_penalty = config.k + config.l + config.m
         unconditional_penalty = config.k + config.l
 

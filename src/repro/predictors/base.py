@@ -221,6 +221,17 @@ def site_report(predictor, trace, worst=10):
             for site, execs, accuracy, _ in rows[:worst]]
 
 
+def start_cold(predictor):
+    """Reset ``predictor`` before a scalar run, so every run starts cold.
+
+    Objects that only duck-type ``predict``/``update`` (test doubles)
+    have no ``reset`` and are left as they are.
+    """
+    reset = getattr(predictor, "reset", None)
+    if reset is not None:
+        reset()
+
+
 def simulate(predictor, trace, flush_interval=None,
              conditional_only=False, ras_returns=True, engine=None):
     """Run ``predictor`` over a branch trace; returns PredictionStats.
@@ -240,19 +251,28 @@ def simulate(predictor, trace, flush_interval=None,
             through the predictor like any branch (BTBs predict the
             *last* return target; the FS cannot predict them at all) —
             the ablation quantifying the RAS substitution.
-        engine: ``"scalar"``, ``"vector"``, or ``"auto"``; None uses
-            the process default (normally auto — see
-            :mod:`repro.kernels.engine`).  The engines are
+        engine: ``"scalar"``, ``"vector"``, ``"auto"`` or None (auto
+            — see :mod:`repro.kernels.engine`).  The engines are
             bit-identical; only throughput and side effects differ
-            (the vector engine never mutates the predictor object).
+            (a kernel never touches the predictor object, the scalar
+            loop leaves it warm).
 
     Returns:
         :class:`PredictionStats`.
 
     Returns still count toward ``total`` either way (the paper's cost
     model charges every branch) unless ``conditional_only`` is set.
+
+    Every call starts from a cold predictor: the scalar loop calls
+    ``predictor.reset()`` before the first record (:func:`start_cold`),
+    so reusing one predictor object gives the same stats on every
+    engine.
     """
-    from repro.kernels import resolve_engine, simulate_vector
+    from repro.kernels import (
+        count_fallback,
+        resolve_engine,
+        simulate_vector,
+    )
 
     resolved = resolve_engine(engine, predictor, trace, flush_interval)
     started = time.perf_counter()
@@ -260,9 +280,13 @@ def simulate(predictor, trace, flush_interval=None,
         stats = simulate_vector(predictor, trace,
                                 conditional_only=conditional_only,
                                 ras_returns=ras_returns)
-        _report_simulation(predictor, stats, resolved, started)
-        return stats
+        if stats is not None:
+            _report_simulation(predictor, stats, resolved, started)
+            return stats
+        count_fallback()
+        resolved = "scalar"
 
+    start_cold(predictor)
     stats = PredictionStats()
     instructions_seen = 0
     next_flush = flush_interval

@@ -127,10 +127,12 @@ class CampaignSpec:
                 or flush_interval < 1):
             raise SpecError("'flush_interval' must be >= 1 (got %r)"
                             % (flush_interval,))
+        from repro.kernels.engine import ENGINES
+
         engine = payload.get("engine", "auto")
-        if engine not in ("auto", "scalar", "vector", "chunked"):
-            raise SpecError("'engine' must be auto, scalar, vector or "
-                            "chunked (got %r)" % (engine,))
+        if engine not in ENGINES:
+            raise SpecError("'engine' must be one of %s (got %r)"
+                            % (", ".join(ENGINES), engine))
         deadline_s = payload.get("deadline_s")
         if deadline_s is not None and (
                 not isinstance(deadline_s, (int, float))

@@ -354,14 +354,6 @@ def test_main_characterize_unknown_target(capsys):
     assert "unknown predictor" in capsys.readouterr().out
 
 
-def test_main_characterize_respects_engine_flag(capsys):
-    """Probe inference must agree under both simulation engines."""
-    for engine in ("scalar", "vector"):
-        assert main(["characterize", "SBTB-small",
-                     "--engine", engine]) == 0
-        assert "RESULT: PASS" in capsys.readouterr().out
-
-
 # --- slow batteries (audited by scripts/marker_audit.py) --------------------
 
 

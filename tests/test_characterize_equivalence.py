@@ -126,7 +126,10 @@ def test_broken_kernel_caught_on_probe_corpus(monkeypatch):
     genuine = tables.sbtb_kernel
 
     def broken(predictor, enc):
-        pred_taken, target_match, hit = genuine(predictor, enc)
+        outcome = genuine(predictor, enc)
+        if outcome is None:     # declined: the scalar loop runs
+            return None
+        pred_taken, target_match, hit = outcome
         hit = hit.copy()
         if len(hit) > 3:
             hit[3] = 1 - hit[3]

@@ -215,6 +215,27 @@ def test_run_conformance_differential_only():
     assert "RESULT: PASS" in report.render()
 
 
+def test_engine_cross_check_counts_fallbacks_apart():
+    """Comparisons whose kernel declined the trace (the reference
+    against itself) are counted apart from real kernel checks."""
+    from repro.conformance import engine_check
+
+    report = run_conformance(seeds=10, golden=False, probes=False)
+    assert report.engine_checks + report.engine_fallbacks \
+        == report.replays
+    assert report.engine_checks > 0 and report.engine_fallbacks > 0
+    assert ("engine cross-check (scalar vs vector): %d comparisons "
+            "exercised a kernel, %d fell back to the scalar reference"
+            % (report.engine_checks, report.engine_fallbacks)) \
+        in report.render()
+
+    trace = TraceFuzzer(0).trace()     # two dozen distinct sites
+    assert engine_check(lambda: SimpleBTB(entries=256), trace) \
+        == (True, None)
+    assert engine_check(lambda: SimpleBTB(entries=2), trace) \
+        == (False, None)
+
+
 def test_run_conformance_scheme_subset():
     report = run_conformance(seeds=5, golden=False, schemes=("CBTB",))
     assert report.ok

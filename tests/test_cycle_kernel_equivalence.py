@@ -96,7 +96,7 @@ def test_cycle_probe_corpus_battery():
     """The characterization probe corpus, both pipeline shapes.
 
     Capacity chains and alias weaves oversubscribe the buffers, so
-    this is where the eviction replay feeds the cycle accounting.
+    this is where the overflow screen hands runs to the scalar loop.
     """
     from repro.characterize.probes import probe_battery
 
@@ -137,6 +137,8 @@ def test_injected_squash_class_boundary_bug_detected(monkeypatch):
 
     def broken(config, predictor, trace, ras_returns=True):
         fields = genuine(config, predictor, trace, ras_returns)
+        if fields is None:      # declined: the scalar loop runs
+            return None
         by_class = dict(fields["squashed_by_class"])
         if BranchClass.CONDITIONAL in by_class:
             # Misattribute: conditional squashes priced as if they
@@ -182,10 +184,8 @@ def test_injected_scan_segment_off_by_one_detected(monkeypatch):
 
     genuine = scan.exclusive_states
 
-    def off_by_one(groups, deltas, lows, highs, init_state,
-                   inits=None):
-        before = genuine(groups, deltas, lows, highs, init_state,
-                         inits=inits)
+    def off_by_one(groups, deltas, lows, highs, init_state):
+        before = genuine(groups, deltas, lows, highs, init_state)
         after = np.minimum(
             np.maximum(before + np.asarray(deltas, dtype=np.int32),
                        np.asarray(lows, dtype=np.int32)),

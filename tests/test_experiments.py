@@ -40,20 +40,6 @@ def test_run_is_memoised(runner):
     assert runner.run("wc") is runner.run("wc")
 
 
-def test_chunked_predictions_match_plain_predictions(runner):
-    """The segmented engine is a drop-in for BenchmarkRun.predictions.
-
-    Same keys, bit-identical stats — nothing downstream of a sweep can
-    tell which engine produced its table cell.
-    """
-    run = runner.run("wc")
-    plain = run.predictions()
-    chunked = run.chunked_predictions(chunks=3)
-    assert set(chunked) == set(plain)
-    for scheme, stats in chunked.items():
-        assert stats == plain[scheme], scheme
-
-
 def test_disk_cache_roundtrip(tmp_path):
     cache = tmp_path / "cache"
     first = SuiteRunner(scale=TINY, runs=1, cache_dir=cache)

@@ -185,3 +185,33 @@ def test_records_are_single_sorted_json_lines(tmp_path):
     parsed = json.loads(line)
     assert list(parsed) == sorted(parsed)
     assert parsed["metrics"] == {"a": 1.0, "b": 2.0}
+
+
+def test_history_survives_a_retired_kernel_report(tmp_path, capsys):
+    """A BENCH_kernels.json without the retired ``chunked`` entry
+    flattens cleanly, and bench-history neither flags nor crashes on
+    metrics that older records carry and the latest one lacks."""
+    from repro.cli import main
+
+    rates = {"vector_records_per_second": 1e7, "speedup": 20.0}
+    old = {"schemes": {"CBTB": dict(rates),
+                       "chunked": {"scaling_1_to_4": 1.1,
+                                   "workers1_seconds": 0.3}},
+           "headline": dict(rates)}
+    new = {"schemes": {"CBTB": dict(rates)}, "headline": dict(rates)}
+    flattened = flatten_bench_reports(None, new)
+    assert not any("chunked" in metric for metric in flattened)
+    assert set(flattened) == {
+        "kernel_CBTB_vector_records_per_second", "kernel_CBTB_speedup",
+        "kernel_headline_vector_records_per_second",
+        "kernel_headline_speedup"}
+
+    path = tmp_path / HISTORY_FILENAME
+    _fill(path, [flatten_bench_reports(None, old) for _ in range(4)]
+          + [flattened])
+    assert find_regressions(load_history(path)) == []
+    assert main(["bench-history", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "bench history: 5 records" in out
+    assert "chunked" not in out
+    assert "no regressions" in out

@@ -4,7 +4,8 @@ The differential battery (test_kernels_equivalence.py) establishes the
 end-to-end bit-identity contract; these tests pin the pieces it is
 built from: the segmented scan primitives against straightforward
 dict-based references, engine resolution and every one of its scalar
-fallbacks, trace-encoding memoization, and the stats plumbing.
+fallbacks (the overflow screen included), the cold start of every
+simulation, trace-encoding memoization, and the stats plumbing.
 """
 
 import numpy as np
@@ -13,11 +14,8 @@ import pytest
 from repro.kernels import (
     AUTO_THRESHOLD,
     EncodedTrace,
-    get_default_engine,
-    is_pristine,
     kernel_for,
     resolve_engine,
-    set_default_engine,
     simulate_vector,
     supports,
 )
@@ -200,44 +198,63 @@ def test_resolve_engine_scalar_fallbacks():
     # No kernel for the tournament meta-predictor.
     assert not supports(Tournament())
     assert resolve_engine("vector", Tournament(), trace) == "scalar"
-    # A warm predictor invalidates the closed forms.
+    # A warm predictor still takes the kernel: every run starts cold.
     warm = SimpleBTB(16)
     simulate(warm, _small_trace(), engine="scalar")
-    assert not is_pristine(warm)
-    assert resolve_engine("vector", warm, trace) == "scalar"
-    warm.reset()
-    assert is_pristine(warm)
     assert resolve_engine("vector", warm, trace) == "vector"
+    assert resolve_engine(None, warm, trace) == "vector"
 
 
-def test_pristine_covers_direction_tables():
-    for make in (lambda: GShare(history_bits=4, table_bits=6),
-                 lambda: Bimodal(table_bits=6, entries=16),
-                 lambda: CounterBTB(entries=16)):
+def _reusable_predictors():
+    return (("SBTB", lambda: SimpleBTB(16)),
+            ("CBTB", lambda: CounterBTB(entries=16)),
+            ("gshare", lambda: GShare(history_bits=4, table_bits=6)),
+            ("bimodal", lambda: Bimodal(table_bits=6, entries=16)),
+            ("tournament", Tournament))
+
+
+@pytest.mark.parametrize("engine", [None, "scalar", "vector"])
+def test_reused_predictor_starts_cold(engine):
+    """Two back-to-back simulate() calls on one predictor agree with
+    each other and with a fresh predictor, on every engine."""
+    trace = _big_trace()
+    assert len(trace) >= AUTO_THRESHOLD
+    for label, make in _reusable_predictors():
         predictor = make()
-        assert is_pristine(predictor)
-        simulate(predictor, _small_trace(), engine="scalar")
-        assert not is_pristine(predictor)
-        predictor.reset()
-        assert is_pristine(predictor)
+        first = simulate(predictor, trace, engine=engine)
+        second = simulate(predictor, trace, engine=engine)
+        assert first == second, label
+        assert first == simulate(make(), trace, engine="scalar"), label
+
+
+@pytest.mark.parametrize("engine", [None, "scalar", "vector"])
+def test_reused_cycle_simulator_starts_cold(engine):
+    from repro.pipeline import PipelineConfig
+    from repro.pipeline.cycle_sim import CycleSimulator
+
+    trace = _big_trace()
+    for label, make in _reusable_predictors():
+        simulator = CycleSimulator(PipelineConfig(2, 2, 2), make(),
+                                   engine=engine)
+        first = simulator.run(trace)
+        second = simulator.run(trace)
+        assert first.cycles == second.cycles, label
+        assert first.squashed_by_class == second.squashed_by_class, label
+
+
+def test_reused_predictor_starts_cold_after_fallback():
+    """An overflowing run on the scalar fallback leaves the predictor
+    warm; the next call must still start cold."""
+    trace = _capacity_trace(n_sites=5, repeats=AUTO_THRESHOLD // 5 + 1)
+    predictor = SimpleBTB(entries=4)
+    first = simulate(predictor, trace)
+    assert first == simulate(predictor, trace)
+    assert first == simulate(predictor, trace, engine="vector")
 
 
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         resolve_engine("warp", SimpleBTB(16), _small_trace())
-    with pytest.raises(ValueError):
-        set_default_engine("warp")
-
-
-def test_default_engine_round_trip():
-    previous = set_default_engine("scalar")
-    try:
-        assert get_default_engine() == "scalar"
-        assert resolve_engine(None, SimpleBTB(16), _big_trace()) \
-            == "scalar"
-    finally:
-        set_default_engine(previous)
-    assert get_default_engine() == previous
 
 
 def test_simulate_vector_rejects_unsupported():
@@ -250,7 +267,7 @@ def test_vector_engine_never_mutates_predictor():
     predictor = SimpleBTB(entries=16)
     stats = simulate(predictor, _big_trace(), engine="vector")
     assert stats.total == AUTO_THRESHOLD
-    assert is_pristine(predictor)
+    assert predictor.occupancy == 0
 
 
 # -- stats plumbing ------------------------------------------------------
@@ -298,50 +315,76 @@ def _capacity_trace(n_sites, repeats=6):
     return trace
 
 
-def test_eviction_screen_exact_at_capacity(monkeypatch):
-    """occupancy == ways fills the buffer without evicting: the screen
-    must keep the closed-form path, and route to the eviction kernel
-    only one distinct site later."""
-    from repro.kernels import evict
+def _spy_scalar_fallbacks(monkeypatch):
+    """Record every simulate() that fell back from a kernel."""
+    from repro import kernels
 
     calls = []
-    real = evict.cbtb_evict
+    real = kernels.count_fallback
 
-    def spy(*args, **kwargs):
+    def spy():
         calls.append(True)
-        return real(*args, **kwargs)
+        real()
 
-    monkeypatch.setattr(evict, "cbtb_evict", spy)
+    monkeypatch.setattr(kernels, "count_fallback", spy)
+    return calls
+
+
+def test_eviction_screen_exact_at_capacity(monkeypatch):
+    """occupancy == ways fills the buffer without evicting: the screen
+    must keep the closed-form path, and send the run to the scalar
+    loop only one distinct site later."""
+    from repro.kernels import tables
+
+    calls = _spy_scalar_fallbacks(monkeypatch)
 
     full = _capacity_trace(n_sites=2)
-    predictor = CounterBTB(entries=2)
-    assert simulate(predictor, full, engine="vector") \
+    enc = EncodedTrace.of(full)
+    assert tables.cbtb_kernel(CounterBTB(entries=2), enc) is not None
+    assert simulate(CounterBTB(entries=2), full, engine="vector") \
         == simulate(CounterBTB(entries=2), full, engine="scalar")
     assert not calls, "exactly-full set must stay closed-form"
 
     over = _capacity_trace(n_sites=3)
+    assert tables.cbtb_kernel(CounterBTB(entries=2),
+                              EncodedTrace.of(over)) is None
     assert simulate(CounterBTB(entries=2), over, engine="vector") \
         == simulate(CounterBTB(entries=2), over, engine="scalar")
-    assert calls, "overflowing set must route to the eviction kernel"
+    assert calls, "overflowing set must take the scalar path"
 
 
 def test_eviction_screen_exact_at_capacity_sbtb(monkeypatch):
-    from repro.kernels import evict
+    from repro.kernels import tables
 
-    calls = []
-    real = evict.sbtb_evict
-
-    def spy(*args, **kwargs):
-        calls.append(True)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(evict, "sbtb_evict", spy)
+    calls = _spy_scalar_fallbacks(monkeypatch)
 
     full = _capacity_trace(n_sites=4)
+    assert tables.sbtb_kernel(SimpleBTB(entries=4),
+                              EncodedTrace.of(full)) is not None
     assert simulate(SimpleBTB(entries=4), full, engine="vector") \
         == simulate(SimpleBTB(entries=4), full, engine="scalar")
     assert not calls
     over = _capacity_trace(n_sites=5)
+    assert tables.sbtb_kernel(SimpleBTB(entries=4),
+                              EncodedTrace.of(over)) is None
     assert simulate(SimpleBTB(entries=4), over, engine="vector") \
         == simulate(SimpleBTB(entries=4), over, engine="scalar")
     assert calls
+
+
+def test_eviction_screen_exact_at_capacity_target_store(monkeypatch):
+    calls = _spy_scalar_fallbacks(monkeypatch)
+    for make in (lambda: GShare(history_bits=2, table_bits=4, entries=4),
+                 lambda: Bimodal(table_bits=4, entries=4)):
+        full = _capacity_trace(n_sites=4)
+        assert kernel_for(make())(make(), EncodedTrace.of(full)) \
+            is not None
+        assert simulate(make(), full, engine="vector") \
+            == simulate(make(), full, engine="scalar")
+        assert not calls
+        over = _capacity_trace(n_sites=5)
+        assert simulate(make(), over, engine="vector") \
+            == simulate(make(), over, engine="scalar")
+        assert calls
+        calls.clear()
+

@@ -68,8 +68,9 @@ def _configs(likely, trace):
     """Every kernel-backed predictor, including eviction-pressure ones.
 
     Four-entry buffers against two dozen fuzzed sites keep the
-    associative tables evicting on nearly every set, so the per-set
-    replay fallback is exercised as hard as the closed forms.
+    associative tables evicting on nearly every set, so the overflow
+    screen and its scalar fallback are exercised as hard as the
+    closed forms.
     """
     return [
         ("sbtb16", lambda: SimpleBTB(entries=16)),
@@ -197,7 +198,10 @@ def test_broken_kernel_is_detected_and_shrinks(monkeypatch):
     genuine = tables.sbtb_kernel
 
     def broken(predictor, enc):
-        pred_taken, target_match, hit = genuine(predictor, enc)
+        outcome = genuine(predictor, enc)
+        if outcome is None:     # declined: the scalar loop runs
+            return None
+        pred_taken, target_match, hit = outcome
         hit = hit.copy()
         if len(hit) > 3:
             hit[3] = 1 - hit[3]

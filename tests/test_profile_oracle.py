@@ -145,17 +145,3 @@ def test_encoding_tracks_branch_free_extend():
     trace.extend(branch_free)
     assert len(trace) == 1
     assert EncodedTrace.of(trace).total_instructions == 17
-
-
-def test_saved_columns_after_branch_free_extend(tmp_path):
-    from repro.kernels.encode import load_columns, save_columns
-
-    trace = Machine(compile_source("""
-        int main() { int i; for (i = 0; i < 3; i = i + 1) { } return 0; }
-    """, "t"), trace=True).run().trace
-    EncodedTrace.of(trace)
-    branch_free = BranchTrace()
-    branch_free.total_instructions = 5
-    trace.extend(branch_free)
-    loaded = load_columns(save_columns(EncodedTrace.of(trace), tmp_path))
-    assert loaded.total_instructions == trace.total_instructions

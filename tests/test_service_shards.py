@@ -162,29 +162,22 @@ def test_execute_shard_matches_direct_simulation():
     assert probe_label(probe).startswith("chain(")
 
 
-def test_execute_shard_chunked_engine_is_bit_identical():
-    """engine="chunked" must never change a shard's answer.
+def test_execute_shard_engines_are_bit_identical():
+    """The engine field must never change a shard's answer.
 
-    Chunkable schemes route through the segmented engine; the FS
-    scheme (unsupported) and a flushed run silently take the ordinary
-    path — in every case the result dict matches engine="auto", so
-    dedup keys and cached results stay engine-agnostic.
+    Every scheme, flushed or not, gives the same result dict under
+    each engine, so dedup keys and cached results stay
+    engine-agnostic.
     """
     probe = validate_probe({"family": "chain", "m": 6, "stride": 1,
                             "laps": 8})
-    for scheme in ({"scheme": "GShare"}, {"scheme": "CBTB"},
-                   {"scheme": "FS"}):
+    for scheme, flush_interval in (({"scheme": "GShare"}, None),
+                                   ({"scheme": "CBTB"}, None),
+                                   ({"scheme": "FS"}, None),
+                                   ({"scheme": "CBTB"}, 7)):
         config = canonical_config(dict(scheme))
-        chunked = execute_shard(ShardSpec("probe", config, probe=probe,
-                                          engine="chunked"))
-        plain = execute_shard(ShardSpec("probe", config, probe=probe,
-                                        engine="auto"))
-        assert chunked["stats"] == plain["stats"], scheme
-    config = canonical_config({"scheme": "CBTB"})
-    flushed = execute_shard(ShardSpec("probe", config, probe=probe,
-                                      flush_interval=7,
-                                      engine="chunked"))
-    reference = execute_shard(ShardSpec("probe", config, probe=probe,
-                                        flush_interval=7,
-                                        engine="scalar"))
-    assert flushed["stats"] == reference["stats"]
+        results = [execute_shard(ShardSpec("probe", config, probe=probe,
+                                           flush_interval=flush_interval,
+                                           engine=engine))["stats"]
+                   for engine in ("auto", "scalar", "vector")]
+        assert results[0] == results[1] == results[2], scheme

@@ -520,6 +520,40 @@ def test_vector_engine_emits_same_telemetry_shape(global_telemetry):
         assert scalar_events[0][key] == vector_events[0][key]
 
 
+def test_overflow_fallback_reports_the_scalar_engine(global_telemetry):
+    """A vector run whose kernel declines (a set would evict) names
+    the engine that produced its stats and counts the fallback."""
+    from repro.pipeline import PipelineConfig
+    from repro.pipeline.cycle_sim import CycleSimulator
+    from repro.predictors import SimpleBTB, simulate
+    from repro.vm.tracing import BranchClass, BranchTrace
+
+    def round_robin(n_sites):
+        trace = BranchTrace()
+        for _ in range(6):
+            for site in range(n_sites):
+                trace.append(site, BranchClass.CONDITIONAL, True,
+                             100 + site, 1)
+        trace.total_instructions = 18 * n_sites
+        return trace
+
+    simulate(SimpleBTB(entries=4), round_robin(5), engine="vector")
+    simulate(SimpleBTB(entries=4), round_robin(4), engine="vector")
+    CycleSimulator(PipelineConfig(2, 2, 2), SimpleBTB(entries=4),
+                   engine="vector").run(round_robin(5))
+    counters = TELEMETRY.snapshot()["counters"]
+    assert counters["kernels.overflow_fallbacks"] == 2
+    assert counters["predictor.records.scalar"] == 30
+    assert counters["predictor.records.vector"] == 24
+    assert counters["cycle_sim.runs.scalar"] == 1
+    assert "cycle_sim.runs.vector" not in counters
+    assert [event["engine"] for event
+            in global_telemetry.named("predictor.simulate")] \
+        == ["scalar", "vector"]
+    assert [event["engine"] for event
+            in global_telemetry.named("cycle_sim.run")] == ["scalar"]
+
+
 # --- mispredict attribution -------------------------------------------------
 
 
