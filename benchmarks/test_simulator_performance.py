@@ -168,15 +168,29 @@ def _headline_schemes(run):
     ]
 
 
-def _time_engine(make_predictor, trace, engine, rounds):
-    """Best-of-``rounds`` wall clock plus the stats it produced."""
-    stats = simulate(make_predictor(), trace, engine=engine)
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        simulate(make_predictor(), trace, engine=engine)
-        best = min(best, time.perf_counter() - start)
-    return best, stats
+def _simulating(make_predictor, trace):
+    """``run(engine)`` for :func:`_time_engines`: one ``simulate``."""
+    return lambda engine: simulate(make_predictor(), trace, engine=engine)
+
+
+def _time_engines(run, rounds):
+    """Best-of-N wall clock per engine, plus the result of each.
+
+    ``run(engine)`` does one timed unit of work; ``rounds`` maps each
+    engine to its N.  The engines' rounds alternate, so a host whose
+    speed drifts slows every engine alike instead of whichever one
+    happened to be timed in the slow stretch.
+    """
+    results = {engine: run(engine) for engine in rounds}
+    best = dict.fromkeys(rounds, float("inf"))
+    for index in range(max(rounds.values())):
+        for engine, count in rounds.items():
+            if index < count:
+                start = time.perf_counter()
+                run(engine)
+                best[engine] = min(best[engine],
+                                   time.perf_counter() - start)
+    return best, results
 
 
 def test_kernel_engines_match_and_speed_up(all_runs):
@@ -197,10 +211,10 @@ def test_kernel_engines_match_and_speed_up(all_runs):
 
     scalar_total = vector_total = 0.0
     for scheme, make_predictor in _headline_schemes(run):
-        scalar_time, scalar_stats = _time_engine(
-            make_predictor, trace, "scalar", rounds=2)
-        vector_time, vector_stats = _time_engine(
-            make_predictor, trace, "vector", rounds=5)
+        best, stats = _time_engines(_simulating(make_predictor, trace),
+                                    {"scalar": 2, "vector": 5})
+        scalar_time, vector_time = best["scalar"], best["vector"]
+        scalar_stats, vector_stats = stats["scalar"], stats["vector"]
         assert scalar_stats == vector_stats, (
             "%s: engines disagree on %s\n  scalar: %r\n  vector: %r"
             % (scheme, name, scalar_stats.as_dict(),
@@ -279,19 +293,12 @@ def test_kernel_cycle_sim_speedup(all_runs):
     trace = run.trace
     config = PipelineConfig(k=1, l=1, m=2)
 
-    def run_engine(engine, rounds):
-        simulator = CycleSimulator(config, CounterBTB(), engine=engine)
-        stats = simulator.run(trace)
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            CycleSimulator(config, CounterBTB(), engine=engine).run(
-                trace)
-            best = min(best, time.perf_counter() - start)
-        return best, stats
-
-    scalar_time, scalar_stats = run_engine("scalar", rounds=2)
-    vector_time, vector_stats = run_engine("vector", rounds=5)
+    best, stats = _time_engines(
+        lambda engine: CycleSimulator(config, CounterBTB(),
+                                      engine=engine).run(trace),
+        {"scalar": 2, "vector": 5})
+    scalar_time, vector_time = best["scalar"], best["vector"]
+    scalar_stats, vector_stats = stats["scalar"], stats["vector"]
     for field in ("cycles", "instructions", "branches",
                   "squashed_cycles", "mispredictions", "fill_cycles"):
         assert getattr(scalar_stats, field) == getattr(vector_stats,

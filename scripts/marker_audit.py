@@ -21,7 +21,8 @@ marker expression — and enforces:
    what the suite even is);
 5. every file in ``REQUIRED_BATTERY_FILES`` — the differential
    equivalence batteries that lock down the vector engine,
-   the block-translated VM and the trace-derived profile —
+   the block-translated VM, the trace-derived profile and the
+   verifier's register-level use-before-def —
    contributes at least one slow-marked battery test (a renamed or
    deleted battery must fail loudly here, not silently stop gating).
 
@@ -38,6 +39,7 @@ REQUIRED_BATTERY_FILES = (
     "tests/test_cycle_kernel_equivalence.py",
     "tests/test_vm_equivalence.py",
     "tests/test_profile_oracle.py",
+    "tests/test_dataflow.py",
 )
 
 

@@ -46,6 +46,7 @@ from repro.analysis.mix import (
 from repro.analysis.reaching import (
     ReachingDefinitions,
     compute_reaching_definitions,
+    defined_registers,
     use_before_def,
 )
 from repro.analysis.unreachable import reachable_blocks, unreachable_blocks
@@ -81,6 +82,7 @@ __all__ = [
     "dead_register_writes",
     "ReachingDefinitions",
     "compute_reaching_definitions",
+    "defined_registers",
     "use_before_def",
     "dominator_sets",
     "immediate_dominators",

@@ -11,7 +11,14 @@ indices.
 definition at all — on every path from the function entry the
 register is never written, so executing the read would fault in the
 VM (a ``KeyError`` on the register file).  It is a may-analysis, so it
-never flags a read that some path does define.
+never flags a read that some path does define.  It needs only *which
+registers* have a reaching definition, so it solves the register-level
+projection of the problem (:class:`_MayDefineAnalysis`: a bitmask over
+register numbers, gen = the registers a block writes, no kill) rather
+than the definition-site one; projecting reaching definitions onto
+their registers commutes with the union join and the transfer, so
+both give the same answer.  :func:`compute_reaching_definitions`
+stays the site-level reference.
 """
 
 from repro.analysis.dataflow import Analysis, FlowGraph, solve
@@ -136,24 +143,73 @@ def compute_reaching_definitions(program, cfg=None, graph=None):
     return ReachingDefinitions(graph, analysis.sites, reach_in, reach_out)
 
 
-def use_before_def(program, cfg=None, reaching=None, blocks=None):
+class _MayDefineAnalysis(Analysis):
+    """Registers with at least one definition on some path (forward,
+    union join): reaching definitions projected onto register numbers."""
+
+    direction = "forward"
+
+    def __init__(self, graph):
+        program = graph.cfg.program
+        self.written = []
+        for block in graph.cfg.blocks:
+            mask = 0
+            for address in range(block.start, block.end):
+                register = register_written(program.instructions[address])
+                if register is not None:
+                    mask |= 1 << register
+            self.written.append(mask)
+        self.entry_masks = {
+            graph.index_of(entry): (1 << count) - 1
+            for entry, count in function_argument_counts(program).items()}
+
+    def initial(self, graph, index):
+        return 0
+
+    def boundary(self, graph, index):
+        return self.entry_masks.get(index)
+
+    def join(self, left, right):
+        return left | right
+
+    def transfer(self, graph, index, defined_in):
+        return defined_in | self.written[index]
+
+
+def defined_registers(graph):
+    """{leader: mask of registers with a definition reaching the
+    block} — :meth:`ReachingDefinitions.registers_defined_in` for
+    every block, from the register-level analysis."""
+    inputs = solve(graph, _MayDefineAnalysis(graph)).inputs
+    return {block.start: inputs[index]
+            for index, block in enumerate(graph.cfg.blocks)}
+
+
+def use_before_def(program, cfg=None, reaching=None, blocks=None,
+                   graph=None):
     """Reads of registers with no reaching definition on any path.
 
     Args:
         program: resolved program.
         cfg: optional pre-built CFG.
-        reaching: optional pre-computed :class:`ReachingDefinitions`.
+        reaching: optional pre-computed :class:`ReachingDefinitions`
+            to read the defined registers from (the reference); by
+            default the register-level analysis runs instead.
         blocks: optional iterable of block leaders to restrict the
             scan to (typically the reachable blocks — unreachable code
             has no paths from any entry and would flag every read).
+        graph: optional pre-built :class:`FlowGraph` (over ``cfg``).
 
     Returns a list of (address, register) pairs in address order.
     """
-    if reaching is None:
-        if cfg is None:
-            cfg = ControlFlowGraph.from_program(program)
-        reaching = compute_reaching_definitions(program, cfg=cfg)
-    graph = reaching.graph
+    if reaching is not None:
+        graph = reaching.graph
+        defined_in = reaching.registers_defined_in
+    else:
+        if graph is None:
+            graph = FlowGraph(
+                cfg or ControlFlowGraph.from_program(program))
+        defined_in = defined_registers(graph).__getitem__
     instructions = graph.cfg.program.instructions
     wanted = None if blocks is None else set(blocks)
 
@@ -161,7 +217,7 @@ def use_before_def(program, cfg=None, reaching=None, blocks=None):
     for block in graph.cfg.blocks:
         if wanted is not None and block.start not in wanted:
             continue
-        defined = reaching.registers_defined_in(block.start)
+        defined = defined_in(block.start)
         for address in range(block.start, block.end):
             instr = instructions[address]
             for register in registers_read(instr):

@@ -221,8 +221,8 @@ def verify_program(program, cfg=None, warnings=True):
                                   "block %d..%d is unreachable"
                                   % (block.start, block.end)))
 
-    for address, register in use_before_def(program, cfg=cfg,
-                                            blocks=reachable):
+    for address, register in use_before_def(program, blocks=reachable,
+                                            graph=graph):
         report(Diagnostic(ERROR, address, "use-before-def",
                           "r%d is read but never written on any path"
                           % register))

@@ -535,6 +535,7 @@ class SuiteRunner:
                                                      spec.source)
         profile = None
         trace = None
+        layout = None
         manifest = None
         if trace_path is not None:
             with _stage(stages, "cache_load", name):
@@ -549,15 +550,20 @@ class SuiteRunner:
                             path=str(trace_path))
         elif trace_path is None:
             TELEMETRY.event("cache.miss", benchmark=name, path=None)
-            profile, trace = self._execute(spec, program, n_runs, stages)
+            profile, trace, layout = self._execute(spec, program, n_runs,
+                                                   stages)
         else:
             TELEMETRY.event("cache.miss", benchmark=name,
                             path=str(trace_path))
-            profile, trace, manifest = self._compute_locked(
+            profile, trace, layout, manifest = self._compute_locked(
                 spec, program, n_runs, trace_path, profile_path, stages)
 
-        with _stage(stages, "layout", name):
-            layout = build_fs_program(program, profile, verify=self.verify)
+        if layout is None:
+            # A cache hit: lay out the loaded profile (a miss reuses
+            # the layout its trace pass ran).
+            with _stage(stages, "layout", name):
+                layout = build_fs_program(program, profile,
+                                          verify=self.verify)
 
         if manifest is None:
             manifest = self._build_manifest(name, n_runs, trace_path,
@@ -580,6 +586,9 @@ class SuiteRunner:
         is written exactly once.  A lock that cannot be acquired
         within ``lock_timeout`` (a wedged peer) degrades to an
         uncached in-process compute instead of blocking the campaign.
+
+        Returns (profile, trace, layout, manifest); ``layout`` is None
+        when a peer's finished entry was loaded instead.
         """
         name = spec.name
         lock = StemLock(self.cache_dir, trace_path.stem,
@@ -592,17 +601,17 @@ class SuiteRunner:
                     TELEMETRY.event("cache.hit", benchmark=name,
                                     path=str(trace_path),
                                     after_lock_wait=True)
-                    return profile, trace, manifest
-                profile, trace = self._execute(spec, program, n_runs,
-                                               stages)
+                    return profile, trace, None, manifest
+                profile, trace, layout = self._execute(spec, program,
+                                                       n_runs, stages)
                 manifest = self._store_cache_entry(
                     name, n_runs, trace_path, profile_path, profile,
                     trace, stages)
-                return profile, trace, manifest
+                return profile, trace, layout, manifest
         except LockTimeout:
-            profile, trace = self._execute(spec, program, n_runs,
-                                           stages)
-            return profile, trace, None
+            profile, trace, layout = self._execute(spec, program, n_runs,
+                                                   stages)
+            return profile, trace, layout, None
 
     def _build_manifest(self, name, n_runs, trace_path, profile_path,
                         stages, checksums=None):
@@ -629,7 +638,8 @@ class SuiteRunner:
 
     def _execute(self, spec, program, n_runs, stages=None):
         """The two VM passes: profile the base program, trace the laid-out
-        program, verifying output equality along the way.
+        program, verifying output equality along the way.  Returns
+        (profile, merged trace, layout).
 
         With ``profile_source="static"`` the first pass never invokes
         the profiler: the profile is estimated from the IR, and the
@@ -676,7 +686,7 @@ class SuiteRunner:
                     merged = result.trace
                 else:
                     merged.extend(result.trace)
-        return profile, merged
+        return profile, merged, layout
 
     def run_all(self, names=None, workers=None):
         """Run every benchmark (or ``names``); returns name -> run.

@@ -35,13 +35,14 @@ intact and re-dispatches only the unfinished remainder.
 """
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import threading
 import time
 import uuid
 
-from repro.resilience.faults import FAULTS
+from repro.resilience.faults import FAULTS, PLAN_ENV_VAR, FaultPlan
 from repro.resilience.supervisor import _backoff_seconds
 from repro.service.admission import AdmissionQueue
 from repro.service.breaker import CircuitBreaker
@@ -55,84 +56,149 @@ from repro.service.campaign import (
 )
 from repro.service.errors import ServiceUnavailable, UnknownCampaign
 from repro.service.journal import CampaignJournal
-from repro.service.shards import execute_shard
+from repro.service.shards import RunMemo, execute_shard
 from repro.telemetry.core import TELEMETRY
+from repro.telemetry.sinks import InMemoryAggregator
 
 #: Test/chaos knob: seconds each shard worker sleeps before executing,
 #: so a gate can reliably SIGKILL the service mid-campaign.
 SHARD_DELAY_ENV = "REPRO_SERVICE_SHARD_DELAY"
 
 
-def _shard_child(spec_dict, cache_dir, key, attempt, queue):
-    """Worker-process entry point (module-level for picklability).
+def _pool_main(conn):
+    """Entry point of one pooled worker process (module-level for
+    picklability).
 
-    Mirrors the supervisor's ``_child_main`` protocol: activate the
-    fault plan from the environment, give the injector its shot at
-    this attempt, then run the shard and report ``("ok", result)`` or
-    ``("error", message)`` on the queue.  A crash (injected or real)
-    reports nothing — the dispatcher reaps the exit code.
+    Runs the shards it receives on ``conn`` one at a time until the
+    dispatcher closes the pipe or goes away.  The :class:`RunMemo`
+    keeps the last sweep shard's benchmark loaded, so consecutive
+    shards over the same benchmark skip compile, cache load and
+    layout.
     """
-    FAULTS.activate_from_env()
-    FAULTS.on_worker_start(key, attempt)
-    FAULTS.on_shard_start(key, attempt)
-    delay = os.environ.get(SHARD_DELAY_ENV)
-    if delay:
-        time.sleep(float(delay))
+    parent = os.getppid()
+    memo = RunMemo()
+    while True:
+        # Events emitted here go to a forked copy of the dispatcher's
+        # in-memory sink that nobody reads; drop them so a long-lived
+        # worker does not accumulate them.
+        if isinstance(TELEMETRY.sink, InMemoryAggregator):
+            TELEMETRY.sink.clear()
+        try:
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return          # orphaned: the dispatcher died
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        _shard_child(conn, memo, *task)
+
+
+def _shard_child(conn, memo, spec_dict, cache_dir, key, attempt, plan,
+                 delay):
+    """Run one shard attempt inside a pooled worker process.
+
+    Mirrors the supervisor's ``_child_main`` protocol: arm the fault
+    plan the dispatcher shipped with this attempt (for this attempt
+    only), give the injector its shot, then run the shard and report
+    ``("ok", result, reused)`` or ``("error", message)`` on ``conn``.
+    A crash (injected or real) reports nothing — the dispatcher reaps
+    the exit code.
+    """
+    if plan:
+        FAULTS.arm(FaultPlan.from_json(plan))
+    else:
+        FAULTS.disarm()
     try:
-        result = execute_shard(spec_dict, cache_dir=cache_dir)
-    except Exception as error:
-        queue.put(("error", "%s: %s" % (type(error).__name__, error)))
-        os._exit(11)
-    queue.put(("ok", result))
+        FAULTS.on_worker_start(key, attempt)
+        FAULTS.on_shard_start(key, attempt)
+        if delay:
+            time.sleep(float(delay))
+        hits = memo.hits
+        try:
+            result = execute_shard(spec_dict, cache_dir=cache_dir,
+                                   memo=memo)
+        except Exception as error:
+            conn.send(("error", "%s: %s" % (type(error).__name__, error)))
+            return
+        conn.send(("ok", result, memo.hits > hits))
+    finally:
+        FAULTS.disarm()
+
+
+class _PoolProcess:
+    """One long-lived forked worker process and its end of the pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self, context):
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_pool_main, args=(child,),
+                                       daemon=True)
+        self.process.start()
+        child.close()
+        TELEMETRY.count("service.worker.started")
+
+    def kill(self):
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 class _ShardWorker:
-    """One in-flight shard process."""
+    """One in-flight shard attempt, handed to a pooled process."""
 
-    __slots__ = ("key", "attempt", "queue", "process", "started",
-                 "deadline")
+    __slots__ = ("key", "attempt", "worker", "started", "deadline")
 
-    def __init__(self, context, spec, cache_dir, key, attempt,
-                 timeout):
+    def __init__(self, worker, spec, cache_dir, key, attempt, timeout):
         self.key = key
         self.attempt = attempt
-        self.queue = context.SimpleQueue()
-        self.process = context.Process(
-            target=_shard_child,
-            args=(spec.to_dict(),
-                  None if cache_dir is None else str(cache_dir),
-                  key, attempt, self.queue),
-            daemon=True)
+        self.worker = worker
         self.started = time.monotonic()
-        self.process.start()
         self.deadline = (self.started + timeout
                          if timeout is not None else None)
+        # The plan and the delay travel with every attempt: a pooled
+        # process outlives the environment it was forked with.
+        task = (spec.to_dict(),
+                None if cache_dir is None else str(cache_dir),
+                key, attempt, os.environ.get(PLAN_ENV_VAR),
+                os.environ.get(SHARD_DELAY_ENV))
+        try:
+            worker.conn.send(task)
+        except OSError:
+            pass                    # died idle: reaped as a crash
 
     @property
     def timed_out(self):
         return (self.deadline is not None
                 and time.monotonic() >= self.deadline)
 
+    @property
+    def ready(self):
+        """True once the shard reported or its process exited."""
+        return (self.worker.conn.poll()
+                or not self.worker.process.is_alive())
+
     def finish(self):
-        """(status, result_or_detail) once the process has exited."""
-        self.process.join()
+        """(status, result_or_detail) once :attr:`ready`."""
         message = None
-        if not self.queue.empty():
-            try:
-                message = self.queue.get()
-            except Exception:
-                message = None
+        try:
+            if self.worker.conn.poll():
+                message = self.worker.conn.recv()
+        except Exception:
+            message = None          # EOF or a torn message: a crash
         if message is not None and message[0] == "ok":
+            if message[2]:
+                TELEMETRY.count("service.shard.run_reused")
             return "ok", message[1]
         if message is not None and message[0] == "error":
             return "error", message[1]
+        self.worker.kill()
         return "crash", ("worker exited with code %r"
-                         % (self.process.exitcode,))
+                         % (self.worker.process.exitcode,))
 
     def kill(self):
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
+        self.worker.kill()
 
 
 class CampaignService:
@@ -141,7 +207,10 @@ class CampaignService:
     Args:
         cache_dir: content-addressed cache directory; the journal
             lives under ``<cache_dir>/service/``.
-        workers: maximum concurrently running shard processes.
+        workers: maximum concurrently running shard processes.  In
+            process mode they are long-lived: forked when a shard
+            needs one, reused for later shards, and replaced after a
+            crash, timeout or kill.
         queue_capacity: admission-queue bound (explicit backpressure
             beyond it).
         mode: ``"process"`` (real worker processes) or ``"inline"``
@@ -180,6 +249,7 @@ class CampaignService:
         self.queue = AdmissionQueue(capacity=queue_capacity)
         self.campaigns = {}     # id -> Campaign
         self.inflight = {}      # key -> _ShardWorker
+        self.idle = []          # pooled _PoolProcess with no shard
         self.waiters = {}       # key -> set of campaign ids
         self.specs = {}         # key -> ShardSpec
         self.results = {}       # key -> result dict (in-memory cache)
@@ -365,10 +435,12 @@ class CampaignService:
                 self._fail(key, "timeout after %.1fs"
                            % self.shard_timeout)
                 continue
-            if worker.process.is_alive():
+            if not worker.ready:
                 continue
             del self.inflight[key]
             status, detail = worker.finish()
+            if status != "crash":
+                self.idle.append(worker.worker)
             if status == "ok":
                 elapsed = time.monotonic() - worker.started
                 self._complete(key, detail, worker.attempt, elapsed)
@@ -459,10 +531,34 @@ class CampaignService:
                 if FAULTS.enabled:
                     FAULTS.to_env()
                 self.inflight[key] = _ShardWorker(
-                    self._context, spec, self.cache_dir, key, attempt,
+                    self._pooled(), spec, self.cache_dir, key, attempt,
                     self.shard_timeout)
                 TELEMETRY.event("service.shard.spawn", key=key,
                                 attempt=attempt)
+
+    def _pooled(self):
+        """An idle pooled process, forked on demand."""
+        while self.idle:
+            worker = self.idle.pop()
+            if worker.process.is_alive():
+                return worker
+            worker.kill()           # died while idle
+        return _PoolProcess(self._context)
+
+    def _wait(self, timeout):
+        """Block until a busy worker reports or exits, or ``timeout``."""
+        with self._lock:
+            handles = []
+            for shard in self.inflight.values():
+                handles.append(shard.worker.conn)
+                handles.append(shard.worker.process.sentinel)
+        if not handles:
+            time.sleep(timeout)
+            return
+        try:
+            multiprocessing.connection.wait(handles, timeout)
+        except (OSError, ValueError):
+            pass                    # a handle closed under us: re-step
 
     def _resolve_from_cache(self, key):
         result = self.results[key]
@@ -543,7 +639,7 @@ class CampaignService:
         def _loop():
             while not self._closing:
                 self.step()
-                time.sleep(interval)
+                self._wait(interval)
 
         self._thread = threading.Thread(target=_loop, daemon=True,
                                         name="campaign-dispatcher")
@@ -561,6 +657,8 @@ class CampaignService:
             for key in list(self.inflight):
                 self.inflight.pop(key).kill()
                 TELEMETRY.count("service.shard.killed")
+            while self.idle:
+                self.idle.pop().kill()
 
     def drain(self, timeout=60.0, interval=0.01):
         """Step until every campaign is terminal (tests); True if so."""
@@ -571,7 +669,7 @@ class CampaignService:
                 if all(campaign.finished
                        for campaign in self.campaigns.values()):
                     return True
-            time.sleep(interval)
+            self._wait(interval)
         return False
 
     def __repr__(self):

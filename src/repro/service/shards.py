@@ -388,13 +388,52 @@ def stats_from_dict(data):
     return stats
 
 
-def execute_shard(spec, cache_dir=None):
+class RunMemo:
+    """The last sweep shard's :class:`~repro.experiments.runner.BenchmarkRun`.
+
+    A pooled worker process keeps one and hands it to every shard it
+    runs: a sweep shard over the same input as the one before it —
+    same :meth:`ShardSpec.content_stem`, engine and cache directory —
+    reuses the loaded run (compile, cache load, verified layout)
+    instead of rebuilding it.  At most one run is held at a time, so
+    a worker's memory stays that of one benchmark.  ``hits`` counts
+    the reuses.
+    """
+
+    __slots__ = ("key", "run", "hits")
+
+    def __init__(self):
+        self.key = None
+        self.run = None
+        self.hits = 0
+
+    def get(self, spec, cache_dir):
+        """The run ``spec`` simulates over, loaded or reused."""
+        from repro.experiments.runner import SuiteRunner
+
+        key = (spec.content_stem(), spec.engine,
+               None if cache_dir is None else str(cache_dir))
+        if key == self.key:
+            self.hits += 1
+            return self.run
+        self.key = self.run = None   # drop the old run before loading
+        runner = SuiteRunner(scale=spec.scale, runs=spec.runs,
+                             cache_dir=cache_dir, engine=spec.engine,
+                             profile_source=spec.profile_source)
+        self.run = runner.run(spec.benchmark)
+        self.key = key
+        return self.run
+
+
+def execute_shard(spec, cache_dir=None, memo=None):
     """Run one shard to completion; returns its JSON-safe result dict.
 
     Pure given the spec and the (content-addressed, crash-safe) cache
     directory: a shard re-executed after a crash, in another process,
     or on another day produces a bit-identical result — which is what
     lets the chaos gate demand byte-equal tables across a SIGKILL.
+    ``memo``, a :class:`RunMemo`, lets a sweep shard reuse the run the
+    previous shard loaded; without one every sweep shard loads afresh.
     """
     from repro.predictors.base import simulate
     from repro.telemetry.core import TELEMETRY
@@ -404,13 +443,8 @@ def execute_shard(spec, cache_dir=None):
     with TELEMETRY.span("service.shard", kind=spec.kind, row=spec.row,
                         column=spec.column):
         if spec.kind == "sweep":
-            from repro.experiments.runner import SuiteRunner
-
-            runner = SuiteRunner(scale=spec.scale, runs=spec.runs,
-                                 cache_dir=cache_dir,
-                                 engine=spec.engine,
-                                 profile_source=spec.profile_source)
-            run = runner.run(spec.benchmark)
+            run = (memo if memo is not None else RunMemo()).get(
+                spec, cache_dir)
             predictor = make_predictor(spec.config,
                                        program=run.fs_program)
             stats = simulate(predictor, run.trace, engine=spec.engine)

@@ -1,10 +1,17 @@
 """Unit tests for the dataflow framework and the concrete analyses."""
 
+import functools
+
+import pytest
+from hypothesis import given, settings
+
+import repro.analysis.reaching as reaching_module
 from repro.analysis import (
     FlowGraph,
     compute_liveness,
     compute_reaching_definitions,
     dead_register_writes,
+    defined_registers,
     dominator_sets,
     immediate_dominators,
     postorder,
@@ -12,10 +19,16 @@ from repro.analysis import (
     unreachable_blocks,
     use_before_def,
 )
+from repro.analysis.staticpred import estimate_profile
+from repro.benchmarksuite import ALL_BENCHMARK_NAMES, get_benchmark
 from repro.cfg import ControlFlowGraph
 from repro.isa import assemble
-from repro.opt import remove_dead_writes
+from repro.lang import compile_source
+from repro.opt import optimize, remove_dead_writes
+from repro.traceopt import build_fs_program, fill_forward_slots
 from repro.vm import run_program
+
+from tests.test_fuzz_fs_pipeline import programs
 
 LOOP_SOURCE = """
 func main:
@@ -230,6 +243,90 @@ func main:
     halt
 """)
     assert use_before_def(program) == []
+
+
+# -- register-level use-before-def vs the reaching-definitions reference -----
+#
+# ``use_before_def`` solves the register projection of reaching
+# definitions (``defined_registers``); ``compute_reaching_definitions``
+# is the site-level reference.  The battery compares the two on every
+# block of every corpus program at four compiler stages and on
+# Hypothesis programs; the injected bugs prove it can tell them apart.
+
+
+def _stages(program):
+    """(stage, program) at the compiled, optimized, laid-out and
+    slot-filled stages (the layout uses the static profile estimate,
+    so no VM run is needed)."""
+    optimized, _ = optimize(program)
+    layout = build_fs_program(optimized, estimate_profile(optimized))
+    slotted, _ = fill_forward_slots(layout.program, 2)
+    return [("compiled", program), ("optimized", optimized),
+            ("laid-out", layout.program), ("slot-filled", slotted)]
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus():
+    return [("%s/%s" % (name, stage), candidate)
+            for name in ALL_BENCHMARK_NAMES
+            for stage, candidate in _stages(compile_source(
+                get_benchmark(name).source, name=name))]
+
+
+def _divergence(program):
+    """What the register-level analysis gets wrong, or None."""
+    graph = FlowGraph(ControlFlowGraph.from_program(program))
+    reference = compute_reaching_definitions(program, graph=graph)
+    fast = defined_registers(graph)
+    for block in graph.cfg.blocks:
+        expected = reference.registers_defined_in(block.start)
+        if fast[block.start] != expected:
+            return "block %d: defined %#x, reference %#x" % (
+                block.start, fast[block.start], expected)
+    reachable = reachable_blocks(program, graph=graph)
+    for blocks in (None, reachable):
+        found = use_before_def(program, blocks=blocks, graph=graph)
+        expected = use_before_def(program, reaching=reference,
+                                  blocks=blocks)
+        if found != expected:
+            return "use_before_def %r, reference %r" % (found, expected)
+    return None
+
+
+@pytest.mark.slow
+def test_corpus_use_before_def_battery():
+    for label, program in _corpus():
+        assert _divergence(program) is None, label
+
+
+@pytest.mark.slow
+@settings(max_examples=30, deadline=None)
+@given(programs())
+def test_hypothesis_use_before_def_battery(source):
+    for stage, program in _stages(compile_source(source, "fuzz")):
+        assert _divergence(program) is None, stage
+
+
+def _boundary_drops_last_argument(self, graph, index):
+    mask = self.entry_masks.get(index)
+    return None if mask is None else mask >> 1
+
+
+_INJECTED_BUGS = {
+    "transfer-drops-writes":
+        ("transfer", lambda self, graph, index, value: value),
+    "boundary-drops-last-argument":
+        ("boundary", _boundary_drops_last_argument),
+    "must-join": ("join", lambda self, left, right: left & right),
+}
+
+
+@pytest.mark.parametrize("bug", sorted(_INJECTED_BUGS))
+def test_injected_bug_is_caught(bug, monkeypatch):
+    corpus = _corpus()       # built (and self-verified) before the bug
+    hook, broken = _INJECTED_BUGS[bug]
+    monkeypatch.setattr(reaching_module._MayDefineAnalysis, hook, broken)
+    assert any(_divergence(program) is not None for _, program in corpus)
 
 
 # -- dominators --------------------------------------------------------------

@@ -62,6 +62,28 @@ def test_cache_disabled(tmp_path):
     assert run.stats.branches > 0
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_each_run_lays_out_once(tmp_path, monkeypatch, cached):
+    """A miss reuses its trace pass's layout; a hit lays out once."""
+    import repro.experiments.runner as runner_module
+
+    calls = []
+    real = runner_module.build_fs_program
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "build_fs_program", counting)
+    cache = tmp_path / "cache" if cached else False
+    miss = SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("tee")
+    assert len(calls) == 1
+    if cached:
+        hit = SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("tee")
+        assert len(calls) == 2
+        assert hit.fs_program.instructions == miss.fs_program.instructions
+
+
 def test_expansions_cover_slot_counts(runner):
     expansions = runner.run("wc").expansions()
     assert sorted(expansions) == [1, 2, 4, 8]

@@ -1,17 +1,25 @@
 """Tests for the campaign dispatcher: dedup, deadlines, recovery.
 
-Everything here runs the service in ``inline`` mode — shards execute
-in the calling thread, so scheduling decisions are deterministic and
-failure injection is a simple monkeypatch of ``execute_shard``.  The
-process-mode path is covered by the HTTP tests, the fault matrix
-(``shard-crash``), and ``scripts/chaos_gate.py``.
+Most tests run the service in ``inline`` mode — shards execute in the
+calling thread, so scheduling decisions are deterministic and failure
+injection is a simple monkeypatch of ``execute_shard``.  The pool
+tests at the end run ``process`` mode: results from reused workers
+against fresh in-process executions, and the respawn after a crash,
+a timeout and a deadline kill.  The HTTP tests, the fault matrix
+(``shard-crash``) and ``scripts/chaos_gate.py`` drive process mode
+too.
 """
+
+import os
+import time
 
 import pytest
 
 import repro.service.dispatcher as dispatcher_module
+from repro.resilience.faults import PLAN_ENV_VAR, FaultPlan
 from repro.service.dispatcher import CampaignService
 from repro.service.errors import AdmissionError, UnknownCampaign
+from repro.service.shards import execute_shard
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.sinks import InMemoryAggregator
 
@@ -242,3 +250,176 @@ def test_stats_shape(tmp_path):
     assert stats["queue"]["capacity"] == 64
     assert stats["campaigns"] == {"done": 1}
     assert stats["counters"]["service.shard.executed"] == 4
+
+
+# -- the process pool --------------------------------------------------------
+
+SWEEP = {"kind": "sweep", "benchmarks": ["wc"], "scale": 0.02, "runs": 1,
+         "schemes": [{"scheme": "SBTB"}, {"scheme": "CBTB"},
+                     {"scheme": "FS"}]}
+
+
+def pooled(tmp_path, **kwargs):
+    kwargs.setdefault("mode", "process")
+    kwargs.setdefault("workers", 1)
+    return make_service(tmp_path, **kwargs)
+
+
+def pool_processes(service):
+    return ([worker.process for worker in service.idle]
+            + [shard.worker.process for shard in service.inflight.values()])
+
+
+def first_call_misbehaves(tmp_path, misbehave):
+    """An ``execute_shard`` whose first call, in any process, runs
+    ``misbehave`` instead (a marker file remembers the first call)."""
+    marker = tmp_path / "misbehaved"
+
+    def shard(spec, **kwargs):
+        try:
+            os.close(os.open(str(marker), os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return execute_shard(spec, **kwargs)
+        misbehave()
+        return execute_shard(spec, **kwargs)
+
+    return shard
+
+
+def assert_one_execution_per_key(service, cells):
+    keys = [entry["key"] for entry in service.journal.executions()]
+    assert len(keys) == cells
+    assert len(set(keys)) == cells
+
+
+@pytest.mark.parametrize("payload", [
+    SWEEP,
+    PAYLOAD,
+    dict(PAYLOAD, flush_interval=3),
+], ids=["sweep", "probe", "probe-flushed"])
+def test_pooled_results_match_fresh_execution(tmp_path, payload):
+    service = pooled(tmp_path)
+    try:
+        status = service.submit(payload)
+        assert service.drain(timeout=120.0)
+        assert service.status(status["id"])["status"] == "done"
+        campaign = service.campaigns[status["id"]]
+        for shard in campaign.shards:
+            fresh = execute_shard(shard, cache_dir=str(tmp_path))
+            assert service.results[shard.key] == fresh, shard
+        # One process ran every shard; the sweep loaded wc once.
+        assert counter("service.worker.started") == 1
+        reused = len(campaign.shards) - 1 if payload is SWEEP else 0
+        assert counter("service.shard.run_reused") == reused
+    finally:
+        service.stop()
+
+
+def test_pool_respawns_after_a_worker_crash(tmp_path, monkeypatch):
+    monkeypatch.setattr(dispatcher_module, "execute_shard",
+                        first_call_misbehaves(tmp_path,
+                                              lambda: os._exit(7)))
+    service = pooled(tmp_path, retries=2, backoff=0.0)
+    try:
+        status = service.submit(PAYLOAD)
+        assert service.drain(timeout=60.0)
+        assert service.status(status["id"])["status"] == "done"
+        assert counter("service.shard.retried") == 1
+        assert counter("service.worker.started") == 2
+        assert_one_execution_per_key(service, 4)
+    finally:
+        service.stop()
+
+
+def test_pool_respawns_after_a_shard_timeout(tmp_path, monkeypatch):
+    monkeypatch.setattr(dispatcher_module, "execute_shard",
+                        first_call_misbehaves(tmp_path,
+                                              lambda: time.sleep(60)))
+    service = pooled(tmp_path, retries=2, backoff=0.0, shard_timeout=1.0)
+    try:
+        status = service.submit(PAYLOAD)
+        assert service.drain(timeout=60.0)
+        assert service.status(status["id"])["status"] == "done"
+        assert counter("service.shard.retried") == 1
+        assert counter("service.worker.started") == 2
+        assert_one_execution_per_key(service, 4)
+    finally:
+        service.stop()
+
+
+def test_pool_respawns_after_a_deadline_kill(tmp_path, monkeypatch):
+    monkeypatch.setattr(dispatcher_module, "execute_shard",
+                        first_call_misbehaves(tmp_path,
+                                              lambda: time.sleep(60)))
+    service = pooled(tmp_path)
+    try:
+        single = dict(PAYLOAD, probes=PAYLOAD["probes"][:1],
+                      schemes=PAYLOAD["schemes"][:1])
+        doomed = service.submit(dict(single, deadline_s=0.5))
+        assert service.drain(timeout=30.0)
+        assert service.status(doomed["id"])["status"] == "expired"
+        assert counter("service.shard.killed") == 1
+        assert pool_processes(service) == []
+        later = service.submit(PAYLOAD)
+        assert service.drain(timeout=60.0)
+        assert service.status(later["id"])["status"] == "done"
+        assert counter("service.worker.started") == 2
+        assert_one_execution_per_key(service, 4)
+    finally:
+        service.stop()
+
+
+def test_fault_plan_travels_with_each_attempt(tmp_path, monkeypatch):
+    """A plan armed after the worker was forked still fires in it."""
+    service = pooled(tmp_path, retries=2, backoff=0.0)
+    try:
+        service.submit(dict(PAYLOAD, probes=PAYLOAD["probes"][:1]))
+        assert service.drain(timeout=60.0)
+        assert service.idle                 # the worker that will crash
+        monkeypatch.setenv(PLAN_ENV_VAR, FaultPlan.single(
+            "shard-crash", seed=0).to_json())
+        status = service.submit(dict(PAYLOAD,
+                                     probes=PAYLOAD["probes"][1:],
+                                     schemes=PAYLOAD["schemes"][:1]))
+        assert service.drain(timeout=60.0)
+        assert service.status(status["id"])["status"] == "done"
+        assert counter("service.shard.retried") == 1
+        assert counter("service.worker.started") == 2
+    finally:
+        service.stop()
+
+
+def test_shard_delay_travels_with_each_attempt(tmp_path, monkeypatch):
+    service = pooled(tmp_path)
+    try:
+        service.submit(dict(PAYLOAD, probes=PAYLOAD["probes"][:1]))
+        assert service.drain(timeout=60.0)
+        monkeypatch.setenv(dispatcher_module.SHARD_DELAY_ENV, "0.3")
+        started = time.monotonic()
+        service.submit(dict(PAYLOAD, probes=PAYLOAD["probes"][1:],
+                            schemes=PAYLOAD["schemes"][:1]))
+        assert service.drain(timeout=60.0)
+        assert time.monotonic() - started >= 0.3
+        assert counter("service.worker.started") == 1
+    finally:
+        service.stop()
+
+
+def test_stop_leaves_no_live_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(dispatcher_module, "execute_shard",
+                        first_call_misbehaves(tmp_path,
+                                              lambda: time.sleep(60)))
+    service = pooled(tmp_path, workers=2)
+    service.submit(PAYLOAD)
+    deadline = time.monotonic() + 30.0
+    # Step until one worker finished shards (idle) while the other is
+    # still stuck in the sleeping one.
+    while time.monotonic() < deadline and not (
+            service.idle and service.inflight):
+        service.step()
+        time.sleep(0.01)
+    processes = pool_processes(service)
+    assert len(processes) == 2
+    service.stop()
+    assert not any(process.is_alive() for process in processes)
+    assert pool_processes(service) == []
